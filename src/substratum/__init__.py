@@ -17,7 +17,7 @@ from .automata import (
     minimize,
     reverse_and_determinize,
 )
-from .digits import DigitString, digit_length, pad, to_digits, to_int
+from .digits import DigitString, pad, to_digits, to_int
 from .errors import (
     BadAlphabet,
     BadBase,
@@ -47,16 +47,7 @@ from .kernel import (
     enumerate_kernel,
 )
 from .oracle import Window, expand, sample_progression, window_for_range
-from .semigroup import (
-    GradedReachability,
-    LengthSet,
-    SemigroupClosure,
-    StructureSemigroup,
-    closure,
-    graded_reachability,
-    min_rank,
-    structure_semigroup,
-)
+from .semigroup import SemigroupClosure, StructureSemigroup, closure, structure_semigroup
 from .substitution import Alphabet, ColumnMap, Substitution, validate
 from .toeplitz import (
     CycleInfo,
@@ -65,7 +56,6 @@ from .toeplitz import (
     ReducedGraph,
     aperiodic_in_range,
     decide_per,
-    per_k_window,
     reduced_graph,
 )
 
@@ -80,7 +70,6 @@ __all__ = [
     "to_digits",
     "to_int",
     "pad",
-    "digit_length",
     "Dfao",
     "SemigroupAutomaton",
     "EquivalenceResult",
@@ -91,12 +80,8 @@ __all__ = [
     "equivalent",
     "SemigroupClosure",
     "StructureSemigroup",
-    "GradedReachability",
-    "LengthSet",
     "closure",
-    "graded_reachability",
     "structure_semigroup",
-    "min_rank",
     "KernelElement",
     "BruteForceKernel",
     "enumerate_kernel",
@@ -112,7 +97,6 @@ __all__ = [
     "CycleInfo",
     "decide_per",
     "aperiodic_in_range",
-    "per_k_window",
     "reduced_graph",
     "SubstratumError",
     "InputError",

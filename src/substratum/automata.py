@@ -14,13 +14,19 @@ digit words whose lengths are multiples of the seed period.  Direct machines
 carry that as padding applied by :meth:`Dfao.run`; reverse machines fold it
 into their states (a word-length phase) so that their outputs stay pinned to
 sequence values under arbitrary padding.
+
+Every closure of maps under composition in the package runs on
+:func:`_orbit`, a breadth-first search over plain int-tuple maps paired with
+that phase.  Reversing a direct machine is one such orbit (its states are the
+transition maps of digit words), and the semigroup-labelled reverse machine is
+that reversal of Cobham's direct machine, relabelled by column maps.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import digits as digitmod
 from .errors import (
@@ -170,7 +176,10 @@ class Dfao:
 
     def to_dot(self) -> str:
         names = self.state_names()
-        order = _bfs_order(self)
+        order = _reachable_order(self)
+        reached = set(order)
+        order += [s for s in range(self.num_states) if s not in reached]
+        rank = {s: i for i, s in enumerate(order)}
         lines = ["digraph dfao {", "  rankdir=LR;", '  node [shape=circle, fontsize=11];']
         lines.append('  __nonneg [shape=none, label="ℕ₀"];')
         lines.append(f'  __nonneg -> "{names[self.initial_nonneg]}";')
@@ -183,31 +192,11 @@ class Dfao:
             grouped: dict[int, list[int]] = {}
             for d in range(self.ell):
                 grouped.setdefault(self.delta[s][d], []).append(d)
-            for target in sorted(grouped, key=order.index):
+            for target in sorted(grouped, key=rank.__getitem__):
                 label = ",".join(str(d) for d in grouped[target])
                 lines.append(f'  "{names[s]}" -> "{names[target]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _bfs_order(dfao: Dfao) -> list[int]:
-    starts = [dfao.initial_nonneg]
-    if dfao.initial_neg is not None and dfao.initial_neg != dfao.initial_nonneg:
-        starts.append(dfao.initial_neg)
-    order: list[int] = []
-    seen = set()
-    queue = deque(starts)
-    seen.update(starts)
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for d in range(dfao.ell):
-            t = dfao.delta[s][d]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    order.extend(s for s in range(dfao.num_states) if s not in seen)
-    return order
 
 
 # -- Cobham's direct-reading machine --------------------------------------
@@ -271,78 +260,58 @@ class SemigroupAutomaton:
 def build_reverse_semigroup(sub: Substitution, budget: int | None = None) -> SemigroupAutomaton:
     """Reverse-reading machine with delta(s, i) = s ∘ theta_i from the identity.
 
-    Outputs project the state map at the seed letters, completed through the
-    end columns when the word length phase requires it; feeding the canonical
+    It is the reversal of the direct machine: the transition maps of that
+    machine's digit words are exactly the compositions of columns.  Outputs
+    project the state map at the seed letters, completed through the end
+    columns when the word length phase requires it; feeding the canonical
     expansion of n therefore yields u_n on either side.
     """
     if sub.seed is None:
         raise SeedMissing("the reverse machine needs a seed for its outputs")
+    nodes, dfao = _determinize(build_direct(sub), budget)
     a_l, a_r = sub.seed
-    p_r, p_l = sub.seed_periods()
-    period = math.lcm(p_r, p_l)
-    cols = sub.columns()
-    col_first, col_last = cols[0], cols[-1]
-    limit = word_budget(budget)
-
-    anchors_r = [a_r]
-    for _ in range(p_r - 1):
-        anchors_r.append(col_first.table[anchors_r[-1]])
-    anchors_l = [a_l]
-    for _ in range(p_l - 1):
-        anchors_l.append(col_last.table[anchors_l[-1]])
-
-    identity = ColumnMap.identity(sub.alphabet)
-    start = (identity, 0)
-    index: dict[tuple[ColumnMap, int], int] = {start: 0}
-    nodes: list[tuple[ColumnMap, int]] = [start]
-    delta_rows: list[tuple[int, ...]] = []
-    queue = deque([start])
-    while queue:
-        s, phase = queue.popleft()
-        row = []
-        for d in range(sub.length):
-            child = (s.compose(cols[d]), (phase + 1) % period)
-            if child not in index:
-                if len(nodes) >= limit:
-                    raise StateExplosion(f"reverse machine exceeds state budget {limit}")
-                index[child] = len(nodes)
-                nodes.append(child)
-                queue.append(child)
-            row.append(index[child])
-        delta_rows.append(tuple(row))
-    # rows were appended in BFS pop order, which matches node insertion order
-    assert len(delta_rows) == len(nodes)
-
-    def out_right(s: ColumnMap, phase: int) -> int:
-        return s.table[anchors_r[(-phase) % p_r]]
-
-    def out_left(s: ColumnMap, phase: int) -> int:
-        return s.table[anchors_l[(-phase) % p_l]]
-
+    period = sub.seed_period()
+    maps = tuple(ColumnMap(sub.alphabet, f) for f, _ in nodes)
     labels = tuple(
-        s.vector() if period == 1 else f"{s.vector()}@{phase}" for s, phase in nodes
-    )
-    dfao = Dfao(
-        ell=sub.length,
-        labels=labels,
-        delta=tuple(delta_rows),
-        initial_nonneg=0,
-        initial_neg=0,
-        out_alphabet=tuple(sub.alphabet.letters),
-        out_nonneg=tuple(out_right(s, phase) for s, phase in nodes),
-        out_neg=tuple(out_left(s, phase) for s, phase in nodes),
-        reading=REVERSE,
+        m.vector() if period == 1 else f"{m.vector()}@{phase}" for m, (_, phase) in zip(maps, nodes)
     )
     return SemigroupAutomaton(
-        dfao=dfao,
-        state_maps=tuple(s for s, _ in nodes),
+        dfao=replace(dfao, labels=labels),
+        state_maps=maps,
         state_phases=tuple(phase for _, phase in nodes),
         seed_letters=(sub.alphabet[a_l], sub.alphabet[a_r]),
         period=period,
     )
 
 
-# -- reversal by determinization -------------------------------------------
+# -- the closure engine and reversal by determinization ---------------------
+
+
+def _orbit(generators, start, period: int, budget: int | None = None):
+    """Breadth-first closure of ``start`` under right composition.
+
+    Nodes are ``(map, phase)`` pairs, the map an int tuple; generator g leads
+    from ``(f, p)`` to ``(f ∘ g, p + 1 mod period)``.  Returns the nodes,
+    numbered in discovery order, and the delta table over those numbers.
+    """
+    limit = word_budget(budget)
+    index = {start: 0}
+    nodes = [start]
+    delta = []
+    for f, phase in nodes:  # the list grows behind the cursor, like a queue
+        step = (phase + 1) % period
+        row = []
+        for g in generators:
+            child = (tuple(map(f.__getitem__, g)), step)
+            target = index.get(child)
+            if target is None:
+                if len(nodes) >= limit:
+                    raise StateExplosion(f"closure exceeds state budget {limit}")
+                target = index[child] = len(nodes)
+                nodes.append(child)
+            row.append(target)
+        delta.append(tuple(row))
+    return nodes, delta
 
 
 def reverse_and_determinize(dfao: Dfao, budget: int | None = None) -> Dfao:
@@ -354,61 +323,35 @@ def reverse_and_determinize(dfao: Dfao, budget: int | None = None) -> Dfao:
     composed digit by digit.  Outputs evaluate that function at the original
     initial states (after completing the word-length phase pinned by the pads).
     """
+    return _determinize(dfao, budget)[1]
+
+
+def _determinize(dfao: Dfao, budget: int | None):
+    """The orbit nodes of :func:`reverse_and_determinize`, and its machine."""
     if dfao.reading != DIRECT:
         raise ValueError("reversal expects a direct-reading machine")
-    limit = word_budget(budget)
-    n = dfao.num_states
-    period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if dfao.two_sided() else 1)
+    two_sided = dfao.two_sided()
+    period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if two_sided else 1)
+    generators = [tuple(row[d] for row in dfao.delta) for d in range(dfao.ell)]
+    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period, budget)
 
-    anchors_r = [dfao.initial_nonneg]
-    for _ in range(dfao.pad_nonneg - 1):
-        anchors_r.append(dfao.delta[anchors_r[-1]][0])
-    anchors_l = []
-    if dfao.two_sided():
-        anchors_l = [dfao.initial_neg]
-        for _ in range(dfao.pad_neg - 1):
-            anchors_l.append(dfao.delta[anchors_l[-1]][dfao.ell - 1])
+    def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[int, ...]:
+        anchors = [initial]
+        for _ in range(pad - 1):
+            anchors.append(dfao.delta[anchors[-1]][tail_digit])
+        return tuple(out[f[anchors[(-phase) % pad]]] for f, phase in nodes)
 
-    start = (tuple(range(n)), 0)
-    index: dict[tuple[tuple[int, ...], int], int] = {start: 0}
-    nodes: list[tuple[tuple[int, ...], int]] = [start]
-    delta_rows: list[tuple[int, ...]] = []
-    queue = deque([start])
-    while queue:
-        f, phase = queue.popleft()
-        row = []
-        for d in range(dfao.ell):
-            g = tuple(f[dfao.delta[q][d]] for q in range(n))
-            child = (g, (phase + 1) % period)
-            if child not in index:
-                if len(nodes) >= limit:
-                    raise StateExplosion(f"determinization exceeds state budget {limit}")
-                index[child] = len(nodes)
-                nodes.append(child)
-                queue.append(child)
-            row.append(index[child])
-        delta_rows.append(tuple(row))
-
-    out_nonneg = tuple(
-        dfao.out_nonneg[f[anchors_r[(-phase) % dfao.pad_nonneg]]] for f, phase in nodes
-    )
-    out_neg = None
-    initial_neg = None
-    if dfao.two_sided():
-        out_neg = tuple(
-            dfao.out_neg[f[anchors_l[(-phase) % dfao.pad_neg]]] for f, phase in nodes
-        )
-        initial_neg = 0
-    labels = tuple(f"r{i}" for i in range(len(nodes)))
-    return Dfao(
+    return nodes, Dfao(
         ell=dfao.ell,
-        labels=labels,
-        delta=tuple(delta_rows),
+        labels=tuple(f"r{i}" for i in range(len(nodes))),
+        delta=tuple(delta),
         initial_nonneg=0,
-        initial_neg=initial_neg,
+        initial_neg=0 if two_sided else None,
         out_alphabet=dfao.out_alphabet,
-        out_nonneg=out_nonneg,
-        out_neg=out_neg,
+        out_nonneg=outputs(dfao.initial_nonneg, dfao.pad_nonneg, 0, dfao.out_nonneg),
+        out_neg=(
+            outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg) if two_sided else None
+        ),
         reading=REVERSE,
     )
 

@@ -108,9 +108,3 @@ def pad(ds: DigitString, k: int) -> DigitString:
         raise ValueError(f"cannot pad length {len(ds)} string to {k}")
     filler = ds.marker if ds.negative else 0
     return DigitString(ds.base, (filler,) * (k - len(ds)) + ds.digits, ds.negative)
-
-
-def digit_length(n: int, base: int) -> int:
-    """Length |n| of the canonical expansion; for n < 0 the block length."""
-    ds = to_digits(n, base)
-    return len(ds.block()) if ds.negative else len(ds)

@@ -1,21 +1,23 @@
 """The ell-kernel of a substitution fixed point, symbolically and by brute force.
 
-A subsequence (u_{ell^e n + j}) is identified with the column-map composition
-spelled by the e digits of j; two witnesses name the same kernel element when
-no digit word can tell their induced subsequences apart.  The brute-force
-variant extracts subsequences straight from an expanded window and counts
-distinct contents, giving a lower bound that must stabilize at the symbolic
-count as the window grows.
+The subsequence (u_{ell^e n + j}) is what the reverse machine outputs from the
+state reached by the e digits of j, least significant first.  Two witnesses
+therefore name the same kernel element exactly when minimization merges their
+states, so the kernel is read off the minimal reverse machine: one element per
+state, with its least witness (e, j).  The brute-force variant extracts
+subsequences straight from an expanded window and counts distinct contents,
+giving a lower bound that must stabilize at the symbolic count as the window
+grows.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import StateExplosion, WindowTooShort
+from .automata import build_reverse_semigroup, minimize
+from .errors import WindowTooShort
 from .oracle import Window, window_for_range
-from .substitution import ColumnMap, Substitution, word_budget
+from .substitution import ColumnMap, Substitution
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
@@ -23,7 +25,7 @@ TWO_SIDED = "two-sided"
 
 @dataclass(frozen=True)
 class KernelElement:
-    """One subsequence class, with its first BFS witness (e, j) and a sample."""
+    """One subsequence class, with its least witness (e, j) and a sample."""
 
     class_map: ColumnMap
     e: int
@@ -41,113 +43,56 @@ def enumerate_kernel(
     sample_length: int = 16,
     budget: int | None = None,
 ) -> tuple[KernelElement, ...]:
-    """All distinct kernel subsequences, by BFS over column-map states.
+    """All distinct kernel subsequences: the states of the minimal reverse machine.
 
-    States are column maps composed digit by digit (with the word-length
-    phase, which matters only for merely-periodic seeds); distinctness is
-    decided by refining the state set against its own outputs, i.e. two
-    states differ exactly when some digit word leads them to different
-    sequence entries on a relevant side.
+    The one-sided kernel minimizes the machine with its negative side
+    dropped.  Elements come in the order of their witnesses; each carries the
+    column map and word-length phase of its witness state in the unminimised
+    machine, and the first ``sample_length`` entries of its subsequence.
     """
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"side must be {ONE_SIDED!r} or {TWO_SIDED!r}")
-    a_l, a_r = sub.require_seed()
-    p_r, p_l = sub.seed_periods()
-    period = p_r if side == ONE_SIDED else math.lcm(p_r, p_l)
-    cols = sub.columns()
-    col_first, col_last = cols[0], cols[-1]
+    sub.require_seed()
+    machine = build_reverse_semigroup(sub, budget=budget)
+    dfao, period = machine.dfao, machine.period
+    if side == ONE_SIDED:
+        dfao = replace(dfao, initial_neg=None, out_neg=None)
+        period = sub.seed_periods()[0]
+    minimal = minimize(dfao)
+    ell = sub.length
 
-    anchors_r = [a_r]
-    for _ in range(p_r - 1):
-        anchors_r.append(col_first.table[anchors_r[-1]])
-    anchors_l = [a_l]
-    for _ in range(p_l - 1):
-        anchors_l.append(col_last.table[anchors_l[-1]])
-
-    def outputs(node: tuple[ColumnMap, int]) -> tuple[int, ...]:
-        s, phase = node
-        right = s.table[anchors_r[(-phase) % p_r]]
-        if side == ONE_SIDED:
-            return (right,)
-        return (right, s.table[anchors_l[(-phase) % p_l]])
-
-    start = (ColumnMap.identity(sub.alphabet), 0)
-    index: dict[tuple[ColumnMap, int], int] = {start: 0}
-    nodes = [start]
-    witnesses: list[tuple[int, int]] = [(0, 0)]
-    limit = word_budget(budget)
-    # level-by-level discovery keeps the recorded witness minimal in (e, j)
-    frontier: dict[tuple[ColumnMap, int], int] = {start: 0}
+    # level by level, digits outside and parents in increasing j inside: the
+    # first arrival at a state is by its least witness, and levels come sorted
+    witnesses = {minimal.initial_nonneg: (0, 0)}
+    frontier = [(minimal.initial_nonneg, 0)]
     e = 0
     while frontier:
-        discovered: dict[tuple[ColumnMap, int], int] = {}
-        for node, j in frontier.items():
-            s, phase = node
-            for d in range(sub.length):
-                child = (s.compose(cols[d]), (phase + 1) % period)
-                if child in index:
-                    continue
-                j_child = j + d * sub.length**e
-                if child not in discovered or j_child < discovered[child]:
-                    discovered[child] = j_child
-        for child, j_child in sorted(discovered.items(), key=lambda kv: kv[1]):
-            if len(nodes) >= limit:
-                raise StateExplosion(f"kernel state count exceeds budget {limit}")
-            index[child] = len(nodes)
-            nodes.append(child)
-            witnesses.append((e + 1, j_child))
-        frontier = discovered
+        level: dict[int, int] = {}
+        for d in range(ell):
+            for s, j in frontier:
+                t = minimal.delta[s][d]
+                if t not in witnesses and t not in level:
+                    level[t] = j + d * ell**e
         e += 1
-    edges = []
-    for s, phase in nodes:
-        edges.append(
-            tuple(index[(s.compose(cols[d]), (phase + 1) % period)] for d in range(sub.length))
-        )
+        frontier = list(level.items())
+        witnesses.update((t, (e, j)) for t, j in frontier)
 
-    # Moore refinement over the state graph decides subsequence equality
-    block = {i: outputs(nodes[i]) for i in range(len(nodes))}
-    ids = sorted(set(block.values()))
-    block = {i: ids.index(v) for i, v in block.items()}
-    while True:
-        signatures: dict[tuple, int] = {}
-        nxt = {}
-        for i in range(len(nodes)):
-            sig = (block[i], tuple(block[t] for t in edges[i]))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            nxt[i] = signatures[sig]
-        if len(signatures) == len(set(block.values())):
-            block = nxt
-            break
-        block = nxt
-
-    chosen: dict[int, int] = {}
-    for i in range(len(nodes)):  # BFS order makes the first witness minimal in (e, j)
-        chosen.setdefault(block[i], i)
     elements = []
-    for i in sorted(chosen.values(), key=lambda i: witnesses[i]):
-        s, phase = nodes[i]
-        e, j = witnesses[i]
+    for e, j in witnesses.values():
+        state, rest = dfao.initial_nonneg, j
+        for _ in range(e):
+            rest, d = divmod(rest, ell)
+            state = dfao.delta[state][d]
         elements.append(
             KernelElement(
-                class_map=s,
+                class_map=machine.state_maps[state],
                 e=e,
                 j=j,
-                phase=phase,
-                sample=_sample(sub, e, j, sample_length, budget),
+                phase=machine.state_phases[state] % period,
+                sample=tuple(minimal.run(j + n * ell**e) for n in range(sample_length)),
             )
         )
     return tuple(elements)
-
-
-def _sample(sub: Substitution, e: int, j: int, length: int, budget) -> tuple[str, ...]:
-    step = sub.length**e
-    top = j + (length - 1) * step
-    if step * length > word_budget(budget):
-        length = max(1, word_budget(budget) // step)
-        top = j + (length - 1) * step
-    word = sub.fixed_point_window(0, top, budget=budget)
-    return tuple(word[j + n * step] for n in range(length))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Transformation-semigroup machinery for the column maps of a substitution.
 
 The central object is the intersection, over all n, of the monoids generated
-by the columns of theta^n.  The intersection is computed exactly: the sequence
-of "products of exactly k generators" layers is eventually periodic in k, and
-an element survives every monoid in the chain precisely when it keeps
-reappearing at lengths divisible by the layer period.
+by the columns of theta^n.  Both the plain closure and that intersection run
+on the orbit of the identity under right multiplication by the generators
+(the reverse machine's state graph): an element is a product of exactly k
+generators when a word of length k leads to it.  The sequence of those
+"products of exactly k" layers is eventually periodic in k, and an element
+survives every monoid in the chain precisely when it keeps reappearing at
+lengths divisible by the layer period.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .automata import _orbit
+from .errors import BadAlphabet
 from .substitution import ColumnMap, Substitution
-
-
-def _sorted_maps(maps) -> tuple[ColumnMap, ...]:
-    return tuple(sorted(maps, key=lambda m: m.table))
 
 
 @dataclass(frozen=True)
@@ -31,116 +32,25 @@ class SemigroupClosure:
 
 
 def closure(generators) -> SemigroupClosure:
-    """Least composition-closed superset of the generators (worklist saturation)."""
-    gens = _sorted_maps(set(generators))
+    """Least composition-closed superset of the generators.
+
+    Every product of one or more generators is the target of an edge of the
+    identity's orbit.
+    """
+    gens = tuple(sorted(set(generators), key=lambda m: m.table))
     if not gens:
         raise ValueError("need at least one generator")
-    seen: set[ColumnMap] = set(gens)
-    frontier = list(gens)
-    while frontier:
-        m = frontier.pop()
-        for g in gens:
-            for prod in (m.compose(g), g.compose(m)):
-                if prod not in seen:
-                    seen.add(prod)
-                    frontier.append(prod)
-    elements = _sorted_maps(seen)
-    identity = ColumnMap.identity(gens[0].alphabet)
+    alphabet = gens[0].alphabet
+    if any(g.alphabet != alphabet for g in gens):
+        raise BadAlphabet("cannot compose maps over different alphabets")
+    identity = tuple(range(len(alphabet)))
+    nodes, delta = _orbit([g.table for g in gens], (identity, 0), 1)
+    tables = sorted({nodes[t][0] for row in delta for t in row})
     return SemigroupClosure(
         generators=gens,
-        elements=elements,
-        contains_id=identity in seen,
-        min_rank=min(m.image_size() for m in elements),
-    )
-
-
-def min_rank(semigroup: SemigroupClosure) -> int:
-    return semigroup.min_rank
-
-
-@dataclass(frozen=True)
-class LengthSet:
-    """Eventually periodic set of word lengths at which a map is a product.
-
-    ``small`` lists the lengths up to the threshold; beyond it membership is
-    periodic with the given period: k belongs iff k mod period is in
-    ``residues``.
-    """
-
-    threshold: int
-    period: int
-    small: frozenset[int]
-    residues: frozenset[int]
-
-    def __contains__(self, k: int) -> bool:
-        if k <= self.threshold:
-            return k in self.small
-        return k % self.period in self.residues
-
-    def hits_all_multiples(self) -> bool:
-        """Whether every n >= 1 divides some member (decided from cycle data)."""
-        # For huge n only lengths beyond the threshold matter, and multiples of
-        # lcm(n, period) reduce to residue 0; so residue 0 is necessary, and it
-        # is also sufficient since multiples of the period divisible by any n
-        # occur beyond any threshold.
-        return 0 in self.residues
-
-
-@dataclass(frozen=True)
-class GradedReachability:
-    """Layer-by-layer reachability of closure elements by generator products."""
-
-    threshold: int
-    period: int
-    length_sets: dict[ColumnMap, LengthSet]
-    layers: tuple[frozenset[ColumnMap], ...]  # layers[k] = products of exactly k+1 generators
-
-    def layer(self, k: int) -> frozenset[ColumnMap]:
-        """Products of exactly k >= 1 generators."""
-        if k <= len(self.layers):
-            return self.layers[k - 1]
-        k0 = self.threshold + 1 + (k - self.threshold - 1) % self.period
-        return self.layers[k0 - 1]
-
-
-@lru_cache(maxsize=None)
-def graded_reachability(sub: Substitution) -> GradedReachability:
-    """Compute the layer sequence P_k = P_{k-1} * generators with cycle detection."""
-    gens = set(sub.columns())
-    layers: list[frozenset[ColumnMap]] = [frozenset(gens)]
-    seen_at: dict[frozenset[ColumnMap], int] = {layers[0]: 1}
-    while True:
-        nxt = frozenset(m.compose(g) for m in layers[-1] for g in gens)
-        k = len(layers) + 1
-        if nxt in seen_at:
-            threshold = seen_at[nxt] - 1
-            period = k - seen_at[nxt]
-            break
-        seen_at[nxt] = k
-        layers.append(nxt)
-
-    identity = ColumnMap.identity(sub.alphabet)
-    all_maps = set().union(*layers) | {identity}
-    length_sets: dict[ColumnMap, LengthSet] = {}
-    for m in sorted(all_maps, key=lambda c: c.table):
-        small = {k + 1 for k in range(min(threshold, len(layers))) if m in layers[k]}
-        if m.is_identity():
-            small.add(0)  # the empty product
-        residues = set()
-        for k in range(threshold + 1, threshold + period + 1):
-            if m in layers[k - 1]:
-                residues.add(k % period)
-        length_sets[m] = LengthSet(
-            threshold=threshold,
-            period=period,
-            small=frozenset(small),
-            residues=frozenset(residues),
-        )
-    return GradedReachability(
-        threshold=threshold,
-        period=period,
-        length_sets=length_sets,
-        layers=tuple(layers),
+        elements=tuple(ColumnMap(alphabet, t) for t in tables),
+        contains_id=identity in tables,
+        min_rank=min(len(set(t)) for t in tables),
     )
 
 
@@ -159,17 +69,20 @@ class StructureSemigroup:
         return len(self.elements)
 
 
-def _monoid_at_exponent(graded: GradedReachability, n: int, identity: ColumnMap) -> frozenset[ColumnMap]:
-    """<id, columns of theta^n> = id plus all products of k*n generators."""
-    out = {identity}
-    # beyond the threshold the layers cycle with the layer period, so scanning
-    # multiples of n up to threshold + lcm(n, period) covers every distinct layer
-    stop = graded.threshold + math.lcm(n, graded.period) + 1
-    k = n
-    while k <= stop:
-        out |= graded.layer(k)
-        k += n
-    return frozenset(out)
+def _layers(sub: Substitution):
+    """Orbit nodes and the layer sequence P_k = P_{k-1} * columns, as sets of
+    node ids, up to its first repeat; with its threshold and period."""
+    identity = tuple(range(len(sub.alphabet)))
+    nodes, delta = _orbit(list(zip(*sub.rules)), (identity, 0), 1)
+    layers = [frozenset(delta[0])]  # layers[k] = products of exactly k+1 columns
+    seen_at = {layers[0]: 1}
+    while True:
+        nxt = frozenset(t for s in layers[-1] for t in delta[s])
+        k = len(layers) + 1
+        if nxt in seen_at:
+            return nodes, layers, seen_at[nxt] - 1, k - seen_at[nxt]
+        seen_at[nxt] = k
+        layers.append(nxt)
 
 
 @lru_cache(maxsize=None)
@@ -181,20 +94,36 @@ def structure_semigroup(sub: Substitution, scan_limit: int = 64) -> StructureSem
     by scanning; the divisibility anti-chain claimed for the monoid family is
     verified on the scanned range rather than assumed.
     """
-    graded = graded_reachability(sub)
-    identity = ColumnMap.identity(sub.alphabet)
-    k0 = graded.period * (graded.threshold // graded.period + 1)
-    elements = frozenset(graded.layer(k0)) | {identity}
+    nodes, layers, threshold, period = _layers(sub)
+    identity = 0  # the orbit's start node
 
-    monoids: dict[int, frozenset[ColumnMap]] = {}
+    def layer(k: int) -> frozenset[int]:
+        """Products of exactly k >= 1 columns."""
+        if k > len(layers):
+            k = threshold + 1 + (k - threshold - 1) % period
+        return layers[k - 1]
+
+    def monoid_at_exponent(n: int) -> frozenset[int]:
+        """<id, columns of theta^n> = id plus all products of k*n columns."""
+        out = {identity}
+        # beyond the threshold the layers cycle with the layer period, so scanning
+        # multiples of n up to threshold + lcm(n, period) covers every distinct layer
+        for k in range(n, threshold + math.lcm(n, period) + 2, n):
+            out |= layer(k)
+        return frozenset(out)
+
+    k0 = period * (threshold // period + 1)
+    elements = layer(k0) | {identity}
+
+    monoids: dict[int, frozenset[int]] = {}
     exponent = None
     for n in range(1, scan_limit + 1):
-        monoids[n] = _monoid_at_exponent(graded, n, identity)
+        monoids[n] = monoid_at_exponent(n)
         if exponent is None and monoids[n] == elements:
             exponent = n
     if exponent is None:  # the layer math guarantees some multiple of the period works
         exponent = k0
-        monoids[exponent] = _monoid_at_exponent(graded, exponent, identity)
+        monoids[exponent] = monoid_at_exponent(exponent)
 
     anti_chain_ok = True
     for n, big in monoids.items():
@@ -202,7 +131,7 @@ def structure_semigroup(sub: Substitution, scan_limit: int = 64) -> StructureSem
             if n % d == 0 and d in monoids and not big <= monoids[d]:
                 anti_chain_ok = False
     return StructureSemigroup(
-        elements=_sorted_maps(elements),
+        elements=tuple(ColumnMap(sub.alphabet, t) for t in sorted(nodes[i][0] for i in elements)),
         stabilizing_exponent=exponent,
         anti_chain_ok=anti_chain_ok,
     )

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 from . import digits as digitmod
 from .automata import SemigroupAutomaton, build_reverse_semigroup
-from .errors import NontrivialHeight, NotToeplitz, WindowTooShort
-from .oracle import Window, expand, sample_progression
+from .errors import NontrivialHeight, NotToeplitz
+from .oracle import expand, sample_progression
 from .substitution import ColumnMap, Substitution
 
 PERIODIC = "periodic"
@@ -51,7 +51,11 @@ class ToeplitzGate:
 
 
 @lru_cache(maxsize=None)
-def _gate(sub: Substitution) -> ToeplitzGate:
+def gate(sub: Substitution) -> ToeplitzGate:
+    """Check the preconditions (primitive, height 1, coincidence); cache the result."""
+    if not sub.is_primitive():
+        raise NotToeplitz("the decision procedure needs a primitive substitution")
+    sub.require_seed()
     h = sub.height()
     if h != 1:
         raise NontrivialHeight(f"height {h} > 1: pure base construction not provided")
@@ -61,30 +65,22 @@ def _gate(sub: Substitution) -> ToeplitzGate:
     return ToeplitzGate(height=h, column_number=c, aperiodic_heuristic=sub.is_aperiodic_heuristic())
 
 
-def gate(sub: Substitution) -> ToeplitzGate:
-    """Check the preconditions (primitive, height 1, coincidence); cache the result."""
-    if not sub.is_primitive():
-        raise NotToeplitz("the decision procedure needs a primitive substitution")
-    sub.require_seed()
-    return _gate(sub)
-
-
 def _adic_walk(sub: Substitution, n: int):
-    """States s_k = composition of the first k ell-adic digits of n, until the
-    tail walk cycles.  Yields (k, state) pairs."""
-    cols = sub.columns()
+    """States s_k = composition of the first k ell-adic digits of n, as int
+    tuples, until the tail walk cycles.  Yields (k, state) pairs."""
+    cols = list(zip(*sub.rules))  # column tables
     tail = cols[0] if n >= 0 else cols[-1]
     ds = digitmod.to_digits(n, sub.length)
-    s = ColumnMap.identity(sub.alphabet)
+    s = tuple(range(len(sub.alphabet)))
     k = 0
     yield k, s
     for d in reversed(ds.digits):  # least significant digit first
-        s = s.compose(cols[d])
+        s = tuple(map(s.__getitem__, cols[d]))
         k += 1
         yield k, s
     seen = {s}
     while True:
-        s = s.compose(tail)
+        s = tuple(map(s.__getitem__, tail))
         k += 1
         if s in seen:
             return
@@ -101,30 +97,19 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
     the negative-side evidence in the shape of the two-condition test.
     """
     gate(sub)
-    marker_col = sub.column(sub.length - 1)
-    last = None
     for k, s in _adic_walk(sub, n):
-        last = (k, s)
-        if s.is_constant():
-            letter = sub.alphabet[s.table[0]]
-            return PeriodicityVerdict(
-                index=n,
-                status=PERIODIC,
-                exponent=k,
-                period=sub.length**k,
-                letter=letter,
-                state_pos=s,
-                state_neg=s.compose(marker_col),
-            )
-    k, s = last
+        if len(set(s)) == 1:
+            break
+    state = ColumnMap(sub.alphabet, s)
+    periodic = state.is_constant()
     return PeriodicityVerdict(
         index=n,
-        status=APERIODIC,
-        exponent=None,
-        period=None,
-        letter=None,
-        state_pos=s,
-        state_neg=s.compose(marker_col),
+        status=PERIODIC if periodic else APERIODIC,
+        exponent=k if periodic else None,
+        period=sub.length**k if periodic else None,
+        letter=sub.alphabet[s[0]] if periodic else None,
+        state_pos=state,
+        state_neg=state.compose(sub.column(sub.length - 1)),
     )
 
 
@@ -200,22 +185,6 @@ def aperiodic_in_range(
         certified=certify,
         inconsistencies=tuple(inconsistencies),
     )
-
-
-def per_k_window(window: Window, k: int, letter: str) -> frozenset[int]:
-    """Window approximation of Per_k(x, letter): indices whose whole residue
-    class inside the window carries the letter.  Necessary-condition oracle."""
-    if k < 1:
-        raise WindowTooShort("period must be positive")
-    if len(window) < 2 * k:
-        raise WindowTooShort(f"window of {len(window)} letters cannot test period {k}")
-    good_residues = set()
-    for r in range(k):
-        first = window.lo + (r - window.lo) % k
-        letters = {window.letter(i) for i in range(first, window.hi + 1, k)}
-        if letters == {letter}:
-            good_residues.add(r)
-    return frozenset(i for i in range(window.lo, window.hi + 1) if i % k in good_residues)
 
 
 @dataclass(frozen=True)

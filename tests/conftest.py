@@ -39,3 +39,14 @@ def constant_sub():
 def height_two():
     """Periodic fixed point ababab... with ell = 3, so the height is 2."""
     return Substitution.from_parts(["a", "b"], 3, {"a": "aba", "b": "bab"}, seed=["b", "a"])
+
+
+@pytest.fixture(scope="session")
+def six_letter():
+    """Six letters over base 4 whose reverse machine is already minimal (700 states)."""
+    return Substitution.from_parts(
+        list("abcdef"),
+        4,
+        {"a": "abea", "b": "dcdc", "c": "aeee", "d": "ecde", "e": "abfb", "f": "eeba"},
+        seed=["a", "a"],
+    )

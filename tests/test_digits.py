@@ -1,6 +1,6 @@
 import pytest
 
-from substratum import BadBase, DigitString, NonCanonical, digit_length, pad, to_digits, to_int
+from substratum import BadBase, DigitString, NonCanonical, pad, to_digits, to_int
 
 
 def test_binary_of_three():
@@ -74,14 +74,14 @@ def test_successor_compatibility():
 
 
 def test_length_monotone_for_nonnegative():
-    lengths = [digit_length(n, 2) for n in range(0, 5000)]
+    lengths = [len(to_digits(n, 2)) for n in range(0, 5000)]
     assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
 
 def test_negative_length_counts_the_block():
-    assert digit_length(-1, 4) == 0
-    assert digit_length(-5, 2) == 3
-    assert digit_length(-9, 4) == 2
+    assert len(to_digits(-1, 4).block()) == 0
+    assert len(to_digits(-5, 2).block()) == 3
+    assert len(to_digits(-9, 4).block()) == 2
 
 
 def test_bad_base():

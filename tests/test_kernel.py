@@ -50,6 +50,18 @@ def test_bigdiag_kernel_size(bigdiag):
     assert len(enumerate_kernel(bigdiag)) == 45
 
 
+def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag):
+    # samples are machine runs, so deep witnesses (e up to 10 here) need no
+    # expanded fixed point and a budget just above the state count suffices
+    elements = enumerate_kernel(six_letter)
+    assert len(elements) == 700 == minimize(build_reverse_semigroup(six_letter)).num_states
+    direct = build_direct(six_letter)
+    for el in elements:
+        step = six_letter.length**el.e
+        assert el.sample == tuple(direct.run(el.j + n * step) for n in range(16))
+    assert len(enumerate_kernel(bigdiag, budget=2000)) == 45
+
+
 def test_eilenberg_equality(pd, pd2, bigdiag, thue_morse):
     for sub in (pd, pd2, bigdiag, thue_morse):
         count = len(enumerate_kernel(sub))

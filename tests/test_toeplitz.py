@@ -3,11 +3,8 @@ import pytest
 from substratum import (
     NontrivialHeight,
     NotToeplitz,
-    WindowTooShort,
     aperiodic_in_range,
     decide_per,
-    expand,
-    per_k_window,
     reduced_graph,
     to_digits,
 )
@@ -88,28 +85,6 @@ def test_bigdiag_fixed_point_is_far_from_toeplitz(bigdiag):
 def test_single_letter_alphabet_is_all_periodic(constant_sub):
     v = decide_per(constant_sub, 9)
     assert v.is_periodic() and v.period == 1 and v.letter == "a"
-
-
-def test_per_k_window_pd2(pd2):
-    window = expand(pd2, 5)
-    evens = per_k_window(window, 2, "a")
-    assert evens == frozenset(i for i in range(window.lo, window.hi + 1) if i % 2 == 0)
-    ones_mod_four = per_k_window(window, 4, "b")
-    assert ones_mod_four == frozenset(
-        i for i in range(window.lo, window.hi + 1) if i % 4 == 1
-    )
-
-
-def test_per_k_window_constant_sequence(constant_sub):
-    window = expand(constant_sub, 4)
-    full = per_k_window(window, 5, "a")
-    assert full == frozenset(range(window.lo, window.hi + 1))
-
-
-def test_per_k_window_too_short(pd2):
-    window = expand(pd2, 1)
-    with pytest.raises(WindowTooShort):
-        per_k_window(window, 100, "a")
 
 
 def test_reduced_graph_pd2(pd2):
