@@ -1,0 +1,130 @@
+"""Compare the CLI output of two checkouts of substratum, input by input.
+
+    python scripts/cli_diff.py dump SRC_DIR OUT.jsonl   # run the verbs with SRC_DIR/substratum
+    python scripts/cli_diff.py compare OLD.jsonl NEW.jsonl
+
+``dump`` runs ``toeplitz --range=-200..200``, ``reduced-graph --format
+text|dot``, ``semigroup`` and ``check`` in-process on the paper examples and
+on ``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for
+s in {1, 2}, and writes one JSON line (input, verb, exit code, stdout,
+stderr) per run.  Run it once per checkout, each in a fresh interpreter.
+``compare`` counts identical runs per verb and prints every difference,
+except the one accepted change of output: a ``check`` whose only difference
+is ``FAIL: subsequence/column duality`` turned into ``ok: ...`` (exit code
+3 -> 0 when that was its only FAIL) is counted separately.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+VERBS = {
+    "toeplitz": ["toeplitz", None, "--range=-200..200"],
+    "rg-text": ["reduced-graph", None, "--format", "text"],
+    "rg-dot": ["reduced-graph", None, "--format", "dot"],
+    "semigroup": ["semigroup", None],
+    "check": ["check", None],
+}
+DUALITY_FAIL = "FAIL: subsequence/column duality"
+DUALITY_OK = "ok: subsequence/column duality"
+
+
+def inputs(Substitution, corpus):
+    def parts(letters, length, rules, seed):
+        return Substitution.from_parts(list(letters), length, rules, seed=list(seed))
+
+    pd = parts("ab", 2, {"a": "ab", "b": "aa"}, "aa")
+    named = [
+        ("pd", pd),
+        ("pd2", pd.simplify()[0]),
+        ("bigdiag", parts("abc", 3, {"a": "acb", "b": "baa", "c": "bba"}, "ba")),
+        ("thue-morse", parts("ab", 2, {"a": "ab", "b": "ba"}, "ba")),
+        ("height-two", parts("ab", 3, {"a": "aba", "b": "bab"}, "ba")),
+        ("periodic-right-seed", parts("ab", 2, {"a": "bb", "b": "ab"}, "ba")),
+    ]
+    for s in (1, 2):
+        named += [(f"check{s}-{i}", e.sub) for i, e in enumerate(corpus.check_corpus(s))]
+        named += [(f"machine{s}-{i}", e.sub) for i, e in enumerate(corpus.machine_corpus(s))]
+    return named
+
+
+def as_json(sub) -> dict:
+    a = sub.alphabet
+    return {
+        "alphabet": list(a.letters),
+        "length": sub.length,
+        "rules": {a[i]: [a[o] for o in rule] for i, rule in enumerate(sub.rules)},
+        "seed": [a[sub.seed[0]], a[sub.seed[1]]],
+    }
+
+
+def dump(src: str, out_path: str) -> None:
+    sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "bench")]
+    os.environ.setdefault("SUBSTRATUM_BUDGET", "1000000")
+    import corpus
+    from substratum import Substitution
+    from substratum.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, open(out_path, "w", encoding="utf-8") as out:
+        path = os.path.join(tmp, "sub.json")
+        for name, sub in inputs(Substitution, corpus):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(as_json(sub), fh)
+            for verb, argv in VERBS.items():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        rc = main([path if a is None else a for a in argv])
+                    except Exception as exc:  # recorded, so both sides must raise alike
+                        rc = f"raised {type(exc).__name__}: {exc}"
+                record = [name, verb, rc, stdout.getvalue(), stderr.getvalue()]
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    with open(old_path, encoding="utf-8") as fh:
+        old = [json.loads(line) for line in fh]
+    with open(new_path, encoding="utf-8") as fh:
+        new = [json.loads(line) for line in fh]
+    if [r[:2] for r in old] != [r[:2] for r in new]:
+        print("the two dumps cover different runs")
+        return 1
+    counts: collections.Counter = collections.Counter()
+    other = 0
+    for (name, verb, rc, out, err), (_, _, rc2, out2, err2) in zip(old, new):
+        if (rc, out, err) == (rc2, out2, err2):
+            counts[verb, "identical"] += 1
+            continue
+        only_duality = out.count("FAIL") == 1 and DUALITY_FAIL in out
+        expected_rc = 0 if rc == 3 and only_duality else rc
+        if (
+            verb == "check"
+            and DUALITY_FAIL in out
+            and out.replace(DUALITY_FAIL, DUALITY_OK) == out2
+            and err == err2
+            and rc2 == expected_rc
+        ):
+            counts[verb, f"duality FAIL -> ok, exit {rc} -> {rc2}"] += 1
+            continue
+        other += 1
+        print(f"DIFF {name} {verb}: exit {rc} -> {rc2}")
+    for key in sorted(counts):
+        print(*key, counts[key], sep="\t")
+    print(f"{len(old)} runs, {other} other differences")
+    return 1 if other else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4 or sys.argv[1] not in ("dump", "compare"):
+        raise SystemExit(__doc__)
+    if sys.argv[1] == "dump":
+        dump(sys.argv[2], sys.argv[3])
+    else:
+        raise SystemExit(compare(sys.argv[2], sys.argv[3]))

@@ -447,30 +447,25 @@ def _reachable_order(dfao: Dfao) -> list[int]:
 class EquivalenceResult:
     equal: bool
     witness: int | None
-    exact: bool
-    bound: int | None = None
 
     def __bool__(self) -> bool:
         return self.equal
 
 
-def equivalent(machine1, machine2, bound: int = 10_000) -> EquivalenceResult:
-    """Decide whether two machines generate the same two-sided sequence.
+def equivalent(machine1, machine2) -> EquivalenceResult:
+    """Decide exactly whether two machines generate the same two-sided sequence.
 
-    Same-reading machines are compared exactly through a product reachability
-    walk over canonical digit words; different readings fall back to comparing
-    run() over [-bound, bound].
+    Same-reading machines are compared through a product reachability walk
+    over canonical digit words; across readings the direct machine is first
+    reversed by :func:`reverse_and_determinize`, and the reverse walk decides.
     """
     m1, m2 = _as_dfao(machine1), _as_dfao(machine2)
     if m1.ell != m2.ell:
         raise ValueError("machines read different digit alphabets")
     if m1.two_sided() != m2.two_sided():
-        return EquivalenceResult(False, None, True)
+        return EquivalenceResult(False, None)
     if m1.reading != m2.reading:
-        for n in range(-bound, bound + 1):
-            if m1.run(n) != m2.run(n):
-                return EquivalenceResult(False, n, False, bound)
-        return EquivalenceResult(True, None, False, bound)
+        m1, m2 = (reverse_and_determinize(m) if m.reading == DIRECT else m for m in (m1, m2))
     if m1.reading == REVERSE:
         return _product_check_reverse(m1, m2)
     return _product_check_direct(m1, m2)
@@ -501,7 +496,7 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
             return _out_letter(m1, o1, pair[0]) != _out_letter(m2, o2, pair[1])
 
         if side == "nonneg" and mismatch((s1, s2)):
-            return EquivalenceResult(False, 0, True)  # the empty word is n = 0
+            return EquivalenceResult(False, 0)  # the empty word is n = 0
         seen = {(s1, s2): (0, 0)}  # pair -> (word value, word length)
         compared: set[tuple[int, int]] = set()
         queue = deque([(s1, s2)])
@@ -520,11 +515,11 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
                 if comparable and child not in compared:
                     compared.add(child)
                     if mismatch(child):
-                        return EquivalenceResult(False, witness, True)
+                        return EquivalenceResult(False, witness)
                 if child not in seen:
                     seen[child] = (child_value, length + 1)
                     queue.append(child)
-    return EquivalenceResult(True, None, True)
+    return EquivalenceResult(True, None)
 
 
 def _product_check_direct(m1: Dfao, m2: Dfao) -> EquivalenceResult:
@@ -545,7 +540,7 @@ def _product_check_direct(m1: Dfao, m2: Dfao) -> EquivalenceResult:
             value, length = seen[(q1, q2, phase)]
             if phase == 0 and _out_letter(m1, o1, q1) != _out_letter(m2, o2, q2):
                 witness = value if not negside else value - ell**length
-                return EquivalenceResult(False, witness, True)
+                return EquivalenceResult(False, witness)
             for d in range(ell):
                 child = (m1.delta[q1][d], m2.delta[q2][d], (phase + 1) % pad)
                 if child not in seen:
@@ -557,7 +552,7 @@ def _product_check_direct(m1: Dfao, m2: Dfao) -> EquivalenceResult:
     pad = math.lcm(m1.pad_nonneg, m2.pad_nonneg)
     i1, i2 = m1.initial_nonneg, m2.initial_nonneg
     if _out_letter(m1, m1.out_nonneg, i1) != _out_letter(m2, m2.out_nonneg, i2):
-        return EquivalenceResult(False, 0, True)
+        return EquivalenceResult(False, 0)
     starts = {
         (m1.delta[i1][d], m2.delta[i2][d], 1 % pad): (d, 1) for d in range(1, ell)
     }
@@ -577,4 +572,4 @@ def _product_check_direct(m1: Dfao, m2: Dfao) -> EquivalenceResult:
         found = bfs(starts, m1.out_neg, m2.out_neg, pad, negside=True)
         if found is not None:
             return found
-    return EquivalenceResult(True, None, True)
+    return EquivalenceResult(True, None)

@@ -128,8 +128,6 @@ def cmd_semigroup(args) -> int:
         print(f"  {m.vector()}")
     print(f"stabilizing exponent: {struct.stabilizing_exponent}")
     print(f"column closure size: {len(cl.elements)}  min rank: {cl.min_rank}")
-    if not struct.anti_chain_ok:
-        print("warning: divisor chain containment failed on the scanned range")
     return 0
 
 
@@ -269,14 +267,16 @@ def cmd_check(args) -> int:
             ok = False
     report("padding invariance", ok)
 
-    # column-map / subsequence duality on the right side of the fixed point
+    # column-map / subsequence duality on the right side of the fixed point;
+    # u is fixed by theta^p_r, so u[L*n + r] is column r of theta^p_r at u[n], L = ell^p_r
+    fixed = sub.power(p_r) if p_r > 1 else sub
     length = 4 * sub.length**2
-    word = sub.fixed_point_window(0, length * sub.length)
+    word = sub.fixed_point_window(0, length * fixed.length)
     ok = True
-    for r in range(sub.length):
-        col = sub.column(r)
+    for r in range(fixed.length):
+        col = fixed.column(r)
         for n in range(length):
-            if word[sub.length * n + r] != sub.alphabet[col.table[sub.alphabet.index(word[n])]]:
+            if word[fixed.length * n + r] != sub.alphabet[col.table[sub.alphabet.index(word[n])]]:
                 ok = False
     report("subsequence/column duality", ok)
 

@@ -7,7 +7,9 @@ on the orbit of the identity under right multiplication by the generators
 generators when a word of length k leads to it.  The sequence of those
 "products of exactly k" layers is eventually periodic in k, and an element
 survives every monoid in the chain precisely when it keeps reappearing at
-lengths divisible by the layer period.
+lengths divisible by the layer period.  The stabilizing exponent is the
+least n whose monoid equals that intersection; no exponent past the first
+stable multiple of the layer period needs to be tried.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def closure(generators) -> SemigroupClosure:
 
 @dataclass(frozen=True)
 class StructureSemigroup:
-    """The intersection over n of <id, columns of theta^n>, plus diagnostics."""
+    """The intersection over n of <id, columns of theta^n>, and the least n
+    whose monoid equals it."""
 
     elements: tuple[ColumnMap, ...]
     stabilizing_exponent: int
-    anti_chain_ok: bool
 
     def __contains__(self, m: ColumnMap) -> bool:
         return m in set(self.elements)
@@ -86,13 +88,13 @@ def _layers(sub: Substitution):
 
 
 @lru_cache(maxsize=None)
-def structure_semigroup(sub: Substitution, scan_limit: int = 64) -> StructureSemigroup:
+def structure_semigroup(sub: Substitution) -> StructureSemigroup:
     """Exact intersection semigroup and the least exponent realizing it.
 
-    The intersection equals {id} plus the stable layer at the first multiple
-    of the layer period past the threshold.  The stabilizing exponent is found
-    by scanning; the divisibility anti-chain claimed for the monoid family is
-    verified on the scanned range rather than assumed.
+    The intersection equals {id} plus the stable layer at k0, the first
+    multiple of the layer period past the threshold.  Every multiple of k0
+    has that same layer, so the monoid at k0 is the intersection itself and
+    the search for the least exponent ends there.
     """
     nodes, layers, threshold, period = _layers(sub)
     identity = 0  # the orbit's start node
@@ -115,23 +117,7 @@ def structure_semigroup(sub: Substitution, scan_limit: int = 64) -> StructureSem
     k0 = period * (threshold // period + 1)
     elements = layer(k0) | {identity}
 
-    monoids: dict[int, frozenset[int]] = {}
-    exponent = None
-    for n in range(1, scan_limit + 1):
-        monoids[n] = monoid_at_exponent(n)
-        if exponent is None and monoids[n] == elements:
-            exponent = n
-    if exponent is None:  # the layer math guarantees some multiple of the period works
-        exponent = k0
-        monoids[exponent] = monoid_at_exponent(exponent)
-
-    anti_chain_ok = True
-    for n, big in monoids.items():
-        for d in range(1, n):
-            if n % d == 0 and d in monoids and not big <= monoids[d]:
-                anti_chain_ok = False
     return StructureSemigroup(
         elements=tuple(ColumnMap(sub.alphabet, t) for t in sorted(nodes[i][0] for i in elements)),
-        stabilizing_exponent=exponent,
-        anti_chain_ok=anti_chain_ok,
+        stabilizing_exponent=next(n for n in range(1, k0 + 1) if monoid_at_exponent(n) == elements),
     )

@@ -1,12 +1,13 @@
 """Periodic/aperiodic structure of a coincidence substitution's fixed point.
 
-An index n lies in Per exactly when the walk along its ell-adic digit stream
-through the reverse-reading semigroup machine eventually reaches a constant
-state (constant states absorb, so "eventually" is decidable: after the
-canonical digits only the sign's tail digit repeats, and the tail walk
-cycles).  The reduced graph is what remains of that machine after deleting
-the constant states; infinite digit streams surviving inside it spell the
-aperiodic addresses.
+Every verdict is a walk through one machine: the reverse-reading semigroup
+machine that :func:`gate` builds once per substitution, together with a table
+marking its constant states.  An index n lies in Per exactly when the walk
+along its ell-adic digit stream eventually reaches a constant state (constant
+states absorb, so "eventually" is decidable: after the canonical digits only
+the sign's tail digit repeats, and the tail walk cycles).  The reduced graph
+is that machine minus its constant states; infinite digit streams surviving
+inside it spell the aperiodic addresses.
 """
 
 from __future__ import annotations
@@ -43,49 +44,41 @@ class PeriodicityVerdict:
 
 @dataclass(frozen=True)
 class ToeplitzGate:
-    """Cached admissibility data for the decision procedure."""
+    """The machine every verdict walks, for an admitted substitution.
 
-    height: int
-    column_number: int
+    ``constant[s]`` marks the states of ``machine`` whose column map has a
+    one-letter image.
+    """
+
     aperiodic_heuristic: bool
+    machine: SemigroupAutomaton
+    constant: tuple[bool, ...]
 
 
 @lru_cache(maxsize=None)
 def gate(sub: Substitution) -> ToeplitzGate:
-    """Check the preconditions (primitive, height 1, coincidence); cache the result."""
+    """Check the preconditions (primitive, height 1, coincidence); cache the result.
+
+    The column number is the least image size over the machine's states: they
+    are the identity plus every product of columns, and the identity has the
+    largest image.
+    """
     if not sub.is_primitive():
         raise NotToeplitz("the decision procedure needs a primitive substitution")
     sub.require_seed()
     h = sub.height()
     if h != 1:
         raise NontrivialHeight(f"height {h} > 1: pure base construction not provided")
-    c = sub.column_number()
+    machine = build_reverse_semigroup(sub)
+    sizes = [m.image_size() for m in machine.state_maps]
+    c = min(sizes)
     if c != 1:
         raise NotToeplitz(f"column number {c} != 1: the shift is not Toeplitz")
-    return ToeplitzGate(height=h, column_number=c, aperiodic_heuristic=sub.is_aperiodic_heuristic())
-
-
-def _adic_walk(sub: Substitution, n: int):
-    """States s_k = composition of the first k ell-adic digits of n, as int
-    tuples, until the tail walk cycles.  Yields (k, state) pairs."""
-    cols = list(zip(*sub.rules))  # column tables
-    tail = cols[0] if n >= 0 else cols[-1]
-    ds = digitmod.to_digits(n, sub.length)
-    s = tuple(range(len(sub.alphabet)))
-    k = 0
-    yield k, s
-    for d in reversed(ds.digits):  # least significant digit first
-        s = tuple(map(s.__getitem__, cols[d]))
-        k += 1
-        yield k, s
-    seen = {s}
-    while True:
-        s = tuple(map(s.__getitem__, tail))
-        k += 1
-        if s in seen:
-            return
-        seen.add(s)
-        yield k, s
+    return ToeplitzGate(
+        aperiodic_heuristic=sub.is_aperiodic_heuristic(),
+        machine=machine,
+        constant=tuple(size == 1 for size in sizes),
+    )
 
 
 def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
@@ -93,23 +86,35 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
 
     Periodic with period ell^k means the two-sided progression through n with
     step ell^k is constant; the walk state being a constant map certifies it
-    in both directions at once, and the marker-composed state is reported as
-    the negative-side evidence in the shape of the two-condition test.
+    in both directions at once, and the state one marker further on is
+    reported as the negative-side evidence in the shape of the two-condition
+    test.
     """
-    gate(sub)
-    for k, s in _adic_walk(sub, n):
-        if len(set(s)) == 1:
-            break
-    state = ColumnMap(sub.alphabet, s)
-    periodic = state.is_constant()
+    g = gate(sub)
+    delta = g.machine.dfao.delta
+    digits = digitmod.to_digits(n, sub.length).digits[::-1]  # least significant first
+    tail = 0 if n >= 0 else sub.length - 1
+    s = k = 0  # the initial state is the identity
+    seen = set()
+    while not g.constant[s]:
+        if k < len(digits):
+            t = delta[s][digits[k]]
+        else:
+            seen.add(s)
+            t = delta[s][tail]
+            if t in seen:  # the tail walk cycles without reaching a constant
+                break
+        s, k = t, k + 1
+    state = g.machine.state_maps[s]
+    periodic = g.constant[s]
     return PeriodicityVerdict(
         index=n,
         status=PERIODIC if periodic else APERIODIC,
         exponent=k if periodic else None,
         period=sub.length**k if periodic else None,
-        letter=sub.alphabet[s[0]] if periodic else None,
+        letter=sub.alphabet[state.table[0]] if periodic else None,
         state_pos=state,
-        state_neg=state.compose(sub.column(sub.length - 1)),
+        state_neg=g.machine.state_maps[delta[s][sub.length - 1]],
     )
 
 
@@ -212,7 +217,6 @@ class ReducedGraph:
     vertex_labels: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]  # (source, digit, target)
     removed: int
-    sccs: tuple[tuple[int, ...], ...]
     cycles: tuple[CycleInfo, ...]
 
     def to_dot(self) -> str:
@@ -238,13 +242,13 @@ def reduced_graph(
     sub: Substitution,
     cycle_length_budget: int = 12,
     cycle_count_budget: int = 500,
-    budget: int | None = None,
 ) -> ReducedGraph:
-    """Delete all 1-vertices (constant-map states) and edges leading to them."""
-    gate(sub)
-    machine = build_reverse_semigroup(sub, budget=budget)
+    """Delete all 1-vertices (constant-map states) of the gate's machine and
+    the edges leading to them."""
+    g = gate(sub)
+    machine = g.machine
     dfao = machine.dfao
-    keep = [s for s in range(dfao.num_states) if machine.state_maps[s].image_size() >= 2]
+    keep = [s for s in range(dfao.num_states) if not g.constant[s]]
     keep_set = set(keep)
     edges = tuple(
         (s, d, dfao.delta[s][d])
@@ -256,7 +260,6 @@ def reduced_graph(
     for s, d, t in edges:
         adjacency[s].append((d, t))
 
-    sccs = _strongly_connected(keep, adjacency)
     cycles = _labelled_cycles(keep, adjacency, cycle_length_budget, cycle_count_budget)
     reachable_prefix = _shortest_paths(dfao.initial_nonneg, keep_set, adjacency)
     infos = []
@@ -284,7 +287,6 @@ def reduced_graph(
         vertex_labels=tuple(dfao.labels[s] for s in keep),
         edges=edges,
         removed=dfao.num_states - len(keep),
-        sccs=sccs,
         cycles=tuple(infos),
     )
 
@@ -306,54 +308,6 @@ def _shortest_paths(initial: int, keep: set[int], adjacency) -> dict[int, tuple[
                 paths[t] = paths[s] + (d,)
                 queue.append(t)
     return paths
-
-
-def _strongly_connected(vertices, adjacency) -> tuple[tuple[int, ...], ...]:
-    """Iterative Tarjan over the reduced graph."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
-    for root in vertices:
-        if root in index_of:
-            continue
-        work = [(root, iter(sorted(adjacency[root])))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _, w in it:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adjacency[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(component)))
-    return tuple(sorted(sccs))
 
 
 def _labelled_cycles(vertices, adjacency, max_length: int, max_count: int):

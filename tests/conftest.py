@@ -36,6 +36,13 @@ def constant_sub():
 
 
 @pytest.fixture(scope="session")
+def periodic_right_seed():
+    """a->bb, b->ab with seed b·a: the right seed letter a has period 2 under
+    the first column, so the fixed point is fixed by theta^2 only."""
+    return Substitution.from_parts(["a", "b"], 2, {"a": "bb", "b": "ab"}, seed=["b", "a"])
+
+
+@pytest.fixture(scope="session")
 def height_two():
     """Periodic fixed point ababab... with ell = 3, so the height is 2."""
     return Substitution.from_parts(["a", "b"], 3, {"a": "aba", "b": "bab"}, seed=["b", "a"])

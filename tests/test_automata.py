@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_reverse_and_determinize_matches_semigroup(pd, pd2, bigdiag):
         semigroup_machine = build_reverse_semigroup(sub)
         determinized = reverse_and_determinize(build_direct(sub))
         result = equivalent(semigroup_machine, determinized)
-        assert result.equal and result.exact
+        assert result.equal
 
 
 def test_determinize_requires_direct(pd2):
@@ -170,7 +171,7 @@ def test_minimal_machines_have_equal_size(pd2, bigdiag):
 def test_equivalent_self(pd2):
     machine = build_reverse_semigroup(pd2)
     result = equivalent(machine, machine)
-    assert result.equal and result.exact and result.witness is None
+    assert result.equal and result.witness is None
 
 
 def test_equivalent_detects_flipped_output(pd2):
@@ -214,9 +215,46 @@ def test_equivalent_detects_flipped_negative_output(bigdiag):
     assert dfao.run(result.witness) != flipped.run(result.witness)
 
 
-def test_equivalent_across_readings_is_bounded(pd2):
-    result = equivalent(build_direct(pd2), build_reverse_semigroup(pd2), bound=300)
-    assert result.equal and not result.exact and result.bound == 300
+def test_equivalent_across_readings_is_exact(pd, pd2, bigdiag):
+    for sub in (pd, pd2, bigdiag):
+        direct, reverse = build_direct(sub), build_reverse_semigroup(sub)
+        for result in (equivalent(direct, reverse), equivalent(reverse, direct)):
+            assert result.equal and result.witness is None
+    direct = build_direct(pd2)
+    flipped = replace(direct, out_nonneg=tuple(1 - o for o in direct.out_nonneg))
+    result = equivalent(flipped, build_reverse_semigroup(pd2))
+    assert not result.equal
+    assert flipped.run(result.witness) != pd2.fixed_point_window(result.witness, result.witness)[0]
+
+
+def test_equivalent_across_readings_finds_a_deep_witness():
+    # a direct machine that counts word length: only 15-digit (and longer)
+    # non-negative inputs reach the b state, and the least such n is 2^14
+    chain = Dfao(
+        ell=2,
+        labels=tuple(f"q{i}" for i in range(16)),
+        delta=tuple((min(i + 1, 15),) * 2 for i in range(16)),
+        initial_nonneg=0,
+        initial_neg=0,
+        out_alphabet=("a", "b"),
+        out_nonneg=(0,) * 15 + (1,),
+        out_neg=(0,) * 16,
+        reading="direct",
+    )
+    constant = Dfao(
+        ell=2,
+        labels=("c",),
+        delta=((0, 0),),
+        initial_nonneg=0,
+        initial_neg=0,
+        out_alphabet=("a",),
+        out_nonneg=(0,),
+        out_neg=(0,),
+        reading="reverse",
+    )
+    for result in (equivalent(chain, constant), equivalent(constant, chain)):
+        assert not result.equal and result.witness == 16384
+    assert chain.run(16384) != constant.run(16384)
 
 
 def test_padding_invariance(pd, pd2, bigdiag, thue_morse):

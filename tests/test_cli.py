@@ -12,6 +12,62 @@ BIGDIAG = {
     "seed": ["b", "a"],
 }
 THUE_MORSE = {"alphabet": ["a", "b"], "length": 2, "rules": {"a": "ab", "b": "ba"}, "seed": ["b", "a"]}
+PD2 = {"alphabet": ["a", "b"], "length": 4, "rules": {"a": "abaa", "b": "abab"}, "seed": ["a", "a"]}
+# the right seed letter a has period 2 under the first column (a->b->a)
+PERIODIC_RIGHT_SEED = {"alphabet": ["a", "b"], "length": 2, "rules": {"a": "bb", "b": "ab"}, "seed": ["b", "a"]}
+
+BIGDIAG_TOEPLITZ_20 = """\
+aperiodicity heuristic: aperiodic
+   -20  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
+   -19  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+   -18  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+   -17  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
+   -16  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+   -15  periodic  period=81 letter=b states=((b,b,b)^T, (b,b,b)^T)
+   -14  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+   -13  periodic  period=81 letter=a states=((a,a,a)^T, (a,a,a)^T)
+   -12  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+   -11  aperiodic  states=((c,a,a)^T, (a,c,c)^T)
+   -10  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    -9  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    -8  aperiodic  states=((c,a,a)^T, (a,c,c)^T)
+    -7  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    -6  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    -5  aperiodic  states=((b,c,c)^T, (c,b,b)^T)
+    -4  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    -3  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    -2  aperiodic  states=((c,a,a)^T, (a,c,c)^T)
+    -1  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+     0  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+     1  aperiodic  states=((c,a,a)^T, (a,c,c)^T)
+     2  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+     3  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+     4  aperiodic  states=((b,c,c)^T, (c,b,b)^T)
+     5  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+     6  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+     7  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
+     8  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+     9  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    10  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
+    11  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    12  periodic  period=81 letter=b states=((b,b,b)^T, (b,b,b)^T)
+    13  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    14  periodic  period=81 letter=a states=((a,a,a)^T, (a,a,a)^T)
+    15  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+    16  aperiodic  states=((c,a,a)^T, (a,c,c)^T)
+    17  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    18  aperiodic  states=((b,a,a)^T, (a,b,b)^T)
+    19  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
+    20  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
+Aper ∩ [-20,20] = {-20, -19, -18, -17, -16, -14, -12, -11, -10, -9, -8, -7, -6, -5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 16, 17, 18, 19, 20}
+"""
+
+PD2_REDUCED_GRAPH_TEXT = """\
+vertices (1), removed 2 constant states:
+  (a,b)^T
+edges: 1
+cycle (3)* after ε: address -1
+"""
 
 
 @pytest.fixture
@@ -104,6 +160,16 @@ def test_toeplitz_refusal_exit_code(sub_file, capsys):
     assert main(["toeplitz", sub_file(THUE_MORSE), "--range=-5..5"]) == 2
 
 
+def test_toeplitz_golden_bigdiag(sub_file, capsys):
+    assert main(["toeplitz", sub_file(BIGDIAG), "--range=-20..20"]) == 0
+    assert capsys.readouterr().out == BIGDIAG_TOEPLITZ_20
+
+
+def test_reduced_graph_text_golden_pd2(sub_file, capsys):
+    assert main(["reduced-graph", sub_file(PD2), "--format", "text"]) == 0
+    assert capsys.readouterr().out == PD2_REDUCED_GRAPH_TEXT
+
+
 def test_reduced_graph_dot(sub_file, capsys):
     assert main(["reduced-graph", sub_file(PD), "--format", "dot"]) == 0
     out = capsys.readouterr().out
@@ -113,6 +179,14 @@ def test_reduced_graph_dot(sub_file, capsys):
 def test_check_passes(sub_file, capsys):
     assert main(["check", sub_file(PD)]) == 0
     out = capsys.readouterr().out
+    assert "FAIL" not in out
+
+
+def test_check_duality_with_periodic_right_seed(sub_file, capsys):
+    # u is a fixed point of theta^2 only, so the duality must use that power
+    assert main(["check", sub_file(PERIODIC_RIGHT_SEED)]) == 0
+    out = capsys.readouterr().out
+    assert "ok: subsequence/column duality" in out
     assert "FAIL" not in out
 
 

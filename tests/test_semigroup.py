@@ -64,7 +64,6 @@ def test_structure_semigroup_period_doubling(pd):
     struct = structure_semigroup(pd)
     assert vectors(struct.elements) == {"(a,b)^T", "(a,a)^T", "(b,b)^T"}
     assert struct.stabilizing_exponent == 2
-    assert struct.anti_chain_ok
 
 
 def test_structure_semigroup_simplified_input(pd2):
@@ -101,9 +100,16 @@ def test_structure_semigroup_power_invariant(pd, bigdiag, thue_morse):
             assert set(structure_semigroup(sub.power(k)).elements) == base
 
 
-def test_structure_semigroup_anti_chain(pd, bigdiag, thue_morse):
-    for sub in (pd, bigdiag, thue_morse):
-        assert structure_semigroup(sub).anti_chain_ok
+def test_structure_semigroup_exponent_is_least(pd, pd2, bigdiag, thue_morse):
+    for sub in (pd, pd2, bigdiag, thue_morse):
+        struct = structure_semigroup(sub)
+        ident = ColumnMap.identity(sub.alphabet)
+        monoids = [
+            set(closure(list(sub.power(n).columns()) + [ident]).elements)
+            for n in range(1, struct.stabilizing_exponent + 1)
+        ]
+        assert monoids[-1] == set(struct.elements)
+        assert all(monoid != set(struct.elements) for monoid in monoids[:-1])
 
 
 def test_bijective_substitution_gives_group(thue_morse):

@@ -8,6 +8,7 @@ from substratum import (
     reduced_graph,
     to_digits,
 )
+from substratum.toeplitz import gate
 
 BIGDIAG_APERIODIC_50 = (
     -50, -49, -48, -47, -46, -42, -41, -40, -36, -35, -34, -33, -32, -31, -30,
@@ -93,12 +94,23 @@ def test_reduced_graph_pd2(pd2):
     assert graph.removed == 2
     vertex = graph.vertices[0]
     assert graph.edges == ((vertex, 3, vertex),)
-    assert graph.sccs == ((vertex,),)
     assert len(graph.cycles) == 1
     cycle = graph.cycles[0]
     assert cycle.cycle_digits == (3,)
     assert cycle.prefix_digits == ()
     assert cycle.address == -1
+
+
+def test_reduced_graph_walks_the_gate_machine(pd, pd2, bigdiag):
+    # the Toeplitz layer builds one reverse machine per substitution
+    for sub in (pd, pd2, bigdiag):
+        assert reduced_graph(sub).machine is gate(sub).machine
+
+
+def test_periodic_right_seed_verdicts_certify(periodic_right_seed):
+    # the reverse machine carries a word-length phase on the right side here
+    report = aperiodic_in_range(periodic_right_seed, -200, 200, certify=True)
+    assert report.inconsistencies == ()
 
 
 def test_reduced_graph_pd_original_spells_minus_one(pd):
