@@ -4,14 +4,16 @@
     python scripts/cli_diff.py compare OLD.jsonl NEW.jsonl
 
 ``dump`` runs ``toeplitz --range=-200..200``, ``reduced-graph --format
-text|dot``, ``semigroup`` and ``check`` in-process on the paper examples and
-on ``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for
-s in {1, 2}, and writes one JSON line (input, verb, exit code, stdout,
-stderr) per run.  Run it once per checkout, each in a fresh interpreter.
-``compare`` counts identical runs per verb and prints every difference,
-except the one accepted change of output: a ``check`` whose only difference
-is ``FAIL: subsequence/column duality`` turned into ``ok: ...`` (exit code
-3 -> 0 when that was its only FAIL) is counted separately.
+text|dot``, ``semigroup``, ``kernel --side one-sided|two-sided``,
+``fixed-point --range=-300..300`` and ``check`` in-process on the paper
+examples and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
+``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
+exit code, stdout, stderr) per run.  Run it once per checkout, each in a
+fresh interpreter.  ``compare`` counts identical runs per verb and prints
+every difference, except the one accepted change of output: a ``check``
+whose only difference is ``FAIL: subsequence/column duality`` turned into
+``ok: ...`` (exit code 3 -> 0 when that was its only FAIL) is counted
+separately.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ VERBS = {
     "rg-text": ["reduced-graph", None, "--format", "text"],
     "rg-dot": ["reduced-graph", None, "--format", "dot"],
     "semigroup": ["semigroup", None],
+    "kernel-one": ["kernel", None, "--side", "one-sided"],
+    "kernel-two": ["kernel", None, "--side", "two-sided"],
+    "fixed-point": ["fixed-point", None, "--range=-300..300"],
     "check": ["check", None],
 }
 DUALITY_FAIL = "FAIL: subsequence/column duality"

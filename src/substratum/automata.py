@@ -27,9 +27,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import chain
 
 from . import digits as digitmod
 from .errors import (
+    BadBase,
     DigitOutOfRange,
     NoNegativeSide,
     SeedMissing,
@@ -44,7 +47,12 @@ REVERSE = "reverse"
 
 @dataclass(frozen=True)
 class Dfao:
-    """A deterministic finite automaton with per-side outputs."""
+    """A deterministic finite automaton with per-side outputs.
+
+    :meth:`run` reads one index in O(log |n|) table steps; :meth:`run_range`
+    reads a window around 0 at about one step per index, because the digit
+    words of its indices share their prefixes.
+    """
 
     ell: int
     labels: tuple[str, ...]
@@ -59,6 +67,8 @@ class Dfao:
     pad_neg: int = 1
 
     def __post_init__(self) -> None:
+        if self.ell < 2:
+            raise BadBase(f"base must be >= 2, got {self.ell}")
         n = len(self.labels)
         if len(self.delta) != n or len(self.out_nonneg) != n:
             raise UnknownLetter("state tables must agree with the label list")
@@ -96,12 +106,76 @@ class Dfao:
 
     def run(self, n: int) -> str:
         """The sequence entry u_n, from the canonical expansion of n."""
-        ds = digitmod.to_digits(n, self.ell)
-        pad = self.pad_nonneg if n >= 0 else self.pad_neg
-        length = len(ds)
-        if pad > 1 and length % pad:
-            ds = digitmod.pad(ds, length + pad - length % pad)
-        return self.run_word(ds.digits, "nonneg" if n >= 0 else "neg")
+        digits = digitmod._low_first(n, self.ell)
+        if n >= 0:
+            state, outputs, pad, filler = self.initial_nonneg, self.out_nonneg, self.pad_nonneg, 0
+        else:
+            if self.initial_neg is None:
+                raise NoNegativeSide("machine has no negative-side initial state")
+            state, outputs, pad, filler = self.initial_neg, self.out_neg, self.pad_neg, self.ell - 1
+        if pad > 1 and len(digits) % pad:
+            digits += (filler,) * (pad - len(digits) % pad)
+        delta = self.delta
+        for d in reversed(digits) if self.reading == DIRECT else digits:
+            state = delta[state][d]
+        return self.out_alphabet[outputs[state]]
+
+    def run_range(self, lo: int, hi: int) -> tuple[str, ...]:
+        """``tuple(self.run(n) for n in range(lo, hi + 1))``, about one step per index.
+
+        Index m >= 0 is read as its canonical word and index -1-m < 0 as the
+        marker word whose digits are those of m complemented, each padded to
+        the side's period.  Both sides walk the digit words of 0, 1, ... level
+        by level (level k holds the states after every k-digit word), so the
+        cost is O(max(|lo|, |hi|)) table steps: the method is meant for
+        windows around 0, and :meth:`run` for far indices.
+        """
+        if lo > hi:
+            return ()
+        nonneg = self._level_walk(self.delta, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
+        neg: list[int] = []
+        if lo < 0:
+            if self.initial_neg is None:
+                raise NoNegativeSide("machine has no negative-side initial state")
+            complemented = tuple(row[::-1] for row in self.delta)
+            neg = self._level_walk(complemented, self.initial_neg, -lo, 1, self.pad_neg)
+        letters = self.out_alphabet
+        return tuple(
+            letters[self.out_neg[neg[-1 - n]]] if n < 0 else letters[self.out_nonneg[nonneg[n]]]
+            for n in range(lo, hi + 1)
+        )
+
+    def _level_walk(self, delta, start: int, count: int, marked: int, pad: int) -> list[int]:
+        """States after the word of every m < count, read from ``start`` through ``delta``.
+
+        The word of m is its canonical digits behind ``marked`` leading zeros,
+        padded with more leading zeros to a multiple of ``pad`` digits (on the
+        negative side ``delta`` is complemented, so these zeros are markers).
+        m is recorded at the first level k that is such a multiple and holds
+        its word.
+        """
+        ell = self.ell
+        columns = list(zip(*delta))
+        states = [start]  # level k: after the k-digit words of 0 .. min(ell**k, count) - 1
+        found: list[int] = []
+        width = 1  # ell**k
+        k = 0
+        while len(found) < count:
+            if k % pad == 0 and k >= marked:
+                found += states[len(found) : min(count, width // ell**marked)]
+            if self.reading == DIRECT:  # word of q*ell + d = word of q, then d
+                parents = states[: -(-count // ell)]
+                states = list(chain.from_iterable(map(delta.__getitem__, parents)))[:count]
+            else:  # word of j + d*ell**k = word of j, then d
+                nxt: list[int] = []
+                for column in columns:
+                    if len(nxt) >= count:
+                        break
+                    nxt += map(column.__getitem__, states[: count - len(nxt)])
+                states = nxt
+            width *= ell
+            k += 1
+        return found
 
     # -- serialization ---------------------------------------------------
 
@@ -265,10 +339,18 @@ def build_reverse_semigroup(sub: Substitution, budget: int | None = None) -> Sem
     project the state map at the seed letters, completed through the end
     columns when the word length phase requires it; feeding the canonical
     expansion of n therefore yields u_n on either side.
+
+    The machine is built once per substitution and state budget and then
+    shared: the kernel, the Toeplitz gate and ``check`` all read this object.
     """
     if sub.seed is None:
         raise SeedMissing("the reverse machine needs a seed for its outputs")
-    nodes, dfao = _determinize(build_direct(sub), budget)
+    return _reverse_semigroup(sub, word_budget(budget))
+
+
+@lru_cache(maxsize=None)
+def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
+    nodes, dfao = _determinize(build_direct(sub), limit)
     a_l, a_r = sub.seed
     period = sub.seed_period()
     maps = tuple(ColumnMap(sub.alphabet, f) for f, _ in nodes)

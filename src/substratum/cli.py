@@ -15,10 +15,10 @@ from . import digits as digitmod
 from . import kernel as kernelmod
 from . import toeplitz as toeplitzmod
 from .automata import build_direct, build_reverse_semigroup, equivalent, minimize, reverse_and_determinize
-from .errors import InputError, Refusal, SubstratumError
+from .errors import InputError, Overflow, Refusal, SubstratumError
 from .oracle import expand, window_for_range
 from .semigroup import closure, structure_semigroup
-from .substitution import Substitution
+from .substitution import Substitution, word_budget
 
 PROG = "substratum"
 
@@ -76,7 +76,15 @@ def cmd_simplify(args) -> int:
 def cmd_fixed_point(args) -> int:
     sub = load_substitution(args.file)
     lo, hi = parse_range(args.range)
-    word = sub.fixed_point_window(lo, hi)
+    sub.require_seed()
+    limit = word_budget()
+    if hi - lo + 1 > limit:
+        raise Overflow(f"window of length {hi - lo + 1} exceeds budget {limit}")
+    machine = build_direct(sub)
+    if max(-lo, hi) <= 2 * (hi - lo + 1):  # run_range costs O(max(|lo|, |hi|)) steps
+        word = machine.run_range(lo, hi)
+    else:  # O(log |n|) steps per index, however far the window lies
+        word = tuple(machine.run(n) for n in range(lo, hi + 1))
     print(sub.alphabet.word_str(tuple(sub.alphabet.index(s) for s in word)))
     return 0
 
@@ -216,10 +224,11 @@ def cmd_check(args) -> int:
     window = window_for_range(sub, -span, span)
     direct = build_direct(sub)
     reverse = build_reverse_semigroup(sub)
-    bad = [n for n in range(-span, span + 1) if direct.run(n) != window.letter(n)]
-    report(f"direct machine vs oracle on ±{span}", not bad, f"first mismatch {bad[:1]}")
-    bad = [n for n in range(-span, span + 1) if reverse.run(n) != window.letter(n)]
-    report(f"reverse machine vs oracle on ±{span}", not bad, f"first mismatch {bad[:1]}")
+    expected = tuple(window.letter(n) for n in range(-span, span + 1))
+    for name, machine in (("direct", direct), ("reverse", reverse.dfao)):
+        got = machine.run_range(-span, span)
+        bad = [n for n, a, b in zip(range(-span, span + 1), got, expected) if a != b]
+        report(f"{name} machine vs oracle on ±{span}", not bad, f"first mismatch {bad[:1]}")
 
     det = reverse_and_determinize(direct)
     eq = equivalent(reverse, det)

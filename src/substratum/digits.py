@@ -70,25 +70,30 @@ class DigitString:
         return body
 
 
+def _low_first(n: int, base: int) -> tuple[int, ...]:
+    """Canonical base-``base`` digits of any integer, least significant first.
+
+    A negative integer ends with its single marker digit; ``0`` is empty.
+    """
+    if base < 2:
+        raise BadBase(f"base must be >= 2, got {base}")
+    digits: list[int] = []
+    stop = 0 if n >= 0 else -1
+    while n != stop:
+        n, r = divmod(n, base)
+        digits.append(r)
+    if stop:
+        # the low digit produced last cannot be base-1, so the block is canonical
+        digits.append(base - 1)
+    return tuple(digits)
+
+
 def to_digits(n: int, base: int) -> DigitString:
     """Canonical base-``base`` expansion of any integer.
 
     ``0`` becomes the empty string; ``-1`` becomes the bare marker digit.
     """
-    if base < 2:
-        raise BadBase(f"base must be >= 2, got {base}")
-    if n >= 0:
-        digits: list[int] = []
-        while n > 0:
-            n, r = divmod(n, base)
-            digits.append(r)
-        return DigitString(base, tuple(reversed(digits)))
-    digits = []
-    while n != -1:
-        n, r = divmod(n, base)
-        digits.append(r)
-    # the low digit produced last cannot be base-1, so the block is canonical
-    return DigitString(base, (base - 1,) + tuple(reversed(digits)), negative=True)
+    return DigitString(base, _low_first(n, base)[::-1], negative=n < 0)
 
 
 def to_int(ds: DigitString) -> int:

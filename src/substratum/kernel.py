@@ -4,10 +4,12 @@ The subsequence (u_{ell^e n + j}) is what the reverse machine outputs from the
 state reached by the e digits of j, least significant first.  Two witnesses
 therefore name the same kernel element exactly when minimization merges their
 states, so the kernel is read off the minimal reverse machine: one element per
-state, with its least witness (e, j).  The brute-force variant extracts
-subsequences straight from an expanded window and counts distinct contents,
-giving a lower bound that must stabilize at the symbolic count as the window
-grows.
+state, with its least witness (e, j).  Samples come from one table walk over
+that machine: the state reached by the digits of n is tabulated for all
+states at once, so sample n of every element is a lookup.  The brute-force
+variant extracts subsequences straight from an expanded window and counts
+distinct contents, giving a lower bound that must stabilize at the symbolic
+count as the window grows.
 """
 
 from __future__ import annotations
@@ -77,8 +79,16 @@ def enumerate_kernel(
         frontier = list(level.items())
         witnesses.update((t, (e, j)) for t, j in frontier)
 
+    # after[n][t]: the state reached from t by the canonical digits of n, least
+    # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's
+    after = [tuple(range(minimal.num_states))]
+    columns = list(zip(*minimal.delta))
+    for n in range(1, sample_length):
+        after.append(tuple(map(after[n // ell].__getitem__, columns[n % ell])))
+    letter = tuple(minimal.out_alphabet[o] for o in minimal.out_nonneg)  # per state
+
     elements = []
-    for e, j in witnesses.values():
+    for t, (e, j) in witnesses.items():
         state, rest = dfao.initial_nonneg, j
         for _ in range(e):
             rest, d = divmod(rest, ell)
@@ -89,7 +99,8 @@ def enumerate_kernel(
                 e=e,
                 j=j,
                 phase=machine.state_phases[state] % period,
-                sample=tuple(minimal.run(j + n * ell**e) for n in range(sample_length)),
+                sample=(minimal.run(j),)[:sample_length]
+                + tuple(letter[row[t]] for row in after[1:]),
             )
         )
     return tuple(elements)

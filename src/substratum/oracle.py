@@ -1,9 +1,10 @@
 """Brute-force ground truth: expanded fixed-point windows and progression sampling.
 
 Everything here works directly on expanded words, never on automata, so it can
-serve as the independent check for the symbolic constructions.  A singleton
-progression sample is only evidence of periodicity (bounded window); observing
-two letters is a certificate of aperiodicity at that step.
+serve as the independent check for the symbolic constructions.  Windows hold
+letter ordinals; progressions are walked on those and named at the end.  A
+singleton progression sample is only evidence of periodicity (bounded window);
+observing two letters is a certificate of aperiodicity at that step.
 """
 
 from __future__ import annotations
@@ -103,20 +104,22 @@ def sample_progression(
         raise IndexOutOfWindow(f"step must be positive, got {step}")
     if n not in window:
         raise IndexOutOfWindow(f"start index {n} outside window {window.lo}..{window.hi}")
-    seen: set[str] = set()
-    down, up = n, n + step
+    letters = window.letters
+    last = len(letters) - 1
+    seen: set[int] = set()
+    down, up = n - window.lo, n - window.lo + step  # offsets into the letters
     examined = 0
-    while down >= window.lo or up <= window.hi:
-        if down >= window.lo:
-            seen.add(window.letter(down))
+    while down >= 0 or up <= last:
+        if down >= 0:
+            seen.add(letters[down])
             down -= step
             examined += 1
-        if up <= window.hi:
-            seen.add(window.letter(up))
+        if up <= last:
+            seen.add(letters[up])
             up += step
             examined += 1
         if stop_at is not None and len(seen) >= stop_at:
             break
         if max_terms is not None and examined >= max_terms:
             break
-    return frozenset(seen)
+    return frozenset(window.alphabet[o] for o in seen)

@@ -92,7 +92,7 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
     """
     g = gate(sub)
     delta = g.machine.dfao.delta
-    digits = digitmod.to_digits(n, sub.length).digits[::-1]  # least significant first
+    digits = digitmod._low_first(n, sub.length)
     tail = 0 if n >= 0 else sub.length - 1
     s = k = 0  # the initial state is the identity
     seen = set()

@@ -70,6 +70,50 @@ def test_machines_agree_with_oracle(pd, pd2, bigdiag, thue_morse, span):
             expected = window.letter(n)
             assert direct.run(n) == expected
             assert reverse.run(n) == expected
+        letters = tuple(window.letter(n) for n in range(-span, span + 1))
+        assert direct.run_range(-span, span) == reverse.dfao.run_range(-span, span) == letters
+
+
+def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_right_seed):
+    machines = []
+    for sub in (pd, pd2, bigdiag, thue_morse, periodic_right_seed):
+        for machine in (build_direct(sub), build_reverse_semigroup(sub).dfao):
+            machines += [machine, minimize(machine)]
+    assert build_direct(periodic_right_seed).pad_nonneg == 2  # a padded direct machine
+    # a reverse machine read back with pads, which then apply as in run()
+    data = build_reverse_semigroup(bigdiag).dfao.to_json_dict()
+    data["pads"] = [2, 3]
+    machines.append(Dfao.from_json_dict(data))
+    # a machine with no padding invariance, so every digit of every word counts
+    for reading in ("direct", "reverse"):
+        for pads in ((1, 1), (2, 3)):
+            machines.append(
+                Dfao(
+                    ell=3,
+                    labels=("p", "q", "r"),
+                    delta=((1, 2, 2), (2, 0, 0), (0, 1, 1)),
+                    initial_nonneg=0,
+                    initial_neg=1,
+                    out_alphabet=("a", "b"),
+                    out_nonneg=(0, 1, 0),
+                    out_neg=(1, 0, 0),
+                    reading=reading,
+                    pad_nonneg=pads[0],
+                    pad_neg=pads[1],
+                )
+            )
+    for machine in machines:
+        ell = machine.ell
+        ranges = [(-1, -1), (0, 0), (3, 2), (-40, 40)]
+        for k in (1, 2, 3, 4):
+            p = ell**k
+            ranges += [(p - 2, p + 1), (-p - 2, -p + 1), (-p, p - 1)]
+        for lo, hi in ranges:
+            assert machine.run_range(lo, hi) == tuple(machine.run(n) for n in range(lo, hi + 1))
+    one_sided = replace(build_reverse_semigroup(bigdiag).dfao, initial_neg=None, out_neg=None)
+    assert one_sided.run_range(0, 30) == tuple(one_sided.run(n) for n in range(31))
+    with pytest.raises(NoNegativeSide):
+        one_sided.run_range(-1, 5)
 
 
 def test_reverse_semigroup_pd2_is_the_three_state_machine(pd2):
@@ -102,9 +146,23 @@ def test_reverse_semigroup_labels_cover_generated_monoid(bigdiag):
     assert machine.period == 2
 
 
-def test_reverse_state_budget(bigdiag):
+def test_reverse_state_budget(bigdiag, monkeypatch):
     with pytest.raises(StateExplosion):
         build_reverse_semigroup(bigdiag, budget=5)
+    build_reverse_semigroup(bigdiag)
+    # the shared machine is kept per budget, so a lower budget still applies
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "5")
+    with pytest.raises(StateExplosion):
+        build_reverse_semigroup(bigdiag)
+
+
+def test_reverse_machine_is_built_once_per_substitution(pd2, bigdiag):
+    from substratum import toeplitz
+
+    for sub in (pd2, bigdiag):
+        machine = build_reverse_semigroup(sub)
+        assert machine is build_reverse_semigroup(sub)
+        assert machine is toeplitz.gate(sub).machine
 
 
 def test_reverse_and_determinize_one_state(constant_sub):

@@ -114,6 +114,19 @@ def test_fixed_point_negative_range(sub_file, capsys):
     assert capsys.readouterr().out.strip() == "ba"
 
 
+def test_fixed_point_far_range_reads_the_direct_machine(sub_file, capsys):
+    # period-doubling: u_n = a iff the 2-adic valuation of n + 1 is even
+    def letter(n):
+        v = 0
+        while (n + 1) % 2 ** (v + 1) == 0:
+            v += 1
+        return "a" if v % 2 == 0 else "b"
+
+    lo = 10**12
+    assert main(["fixed-point", sub_file(PD), f"--range={lo}..{lo + 5}"]) == 0
+    assert capsys.readouterr().out.strip() == "".join(letter(n) for n in range(lo, lo + 6))
+
+
 def test_automaton_dot(sub_file, capsys):
     assert main(["automaton", sub_file(BIGDIAG), "--reading", "direct", "--format", "dot"]) == 0
     out = capsys.readouterr().out

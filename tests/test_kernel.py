@@ -55,10 +55,13 @@ def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag):
     # expanded fixed point and a budget just above the state count suffices
     elements = enumerate_kernel(six_letter)
     assert len(elements) == 700 == minimize(build_reverse_semigroup(six_letter)).num_states
-    direct = build_direct(six_letter)
-    for el in elements:
-        step = six_letter.length**el.e
-        assert el.sample == tuple(direct.run(el.j + n * step) for n in range(16))
+    for sub in (six_letter, bigdiag):
+        direct = build_direct(sub)
+        minimal = minimize(build_reverse_semigroup(sub))
+        for el in enumerate_kernel(sub):
+            indices = [el.j + n * sub.length**el.e for n in range(16)]
+            assert el.sample == tuple(direct.run(i) for i in indices)
+            assert el.sample == tuple(minimal.run(i) for i in indices)
     assert len(enumerate_kernel(bigdiag, budget=2000)) == 45
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from substratum import (
@@ -81,3 +83,37 @@ def test_window_getitem_bounds(pd2):
     window = expand(pd2, 1)
     with pytest.raises(IndexOutOfWindow):
         window[window.hi + 1]
+
+
+def _progression_by_letters(window, n, step, max_terms=None, stop_at=None):
+    """The index-by-index Window.letter walk that sample_progression must match."""
+    seen = set()
+    down, up = n, n + step
+    examined = 0
+    while down >= window.lo or up <= window.hi:
+        if down >= window.lo:
+            seen.add(window.letter(down))
+            down -= step
+            examined += 1
+        if up <= window.hi:
+            seen.add(window.letter(up))
+            up += step
+            examined += 1
+        if stop_at is not None and len(seen) >= stop_at:
+            break
+        if max_terms is not None and examined >= max_terms:
+            break
+    return frozenset(seen)
+
+
+def test_sample_progression_matches_the_letter_walk(bigdiag, pd2):
+    rng = random.Random(5)
+    for sub in (bigdiag, pd2):
+        window = expand(sub, 4)
+        for _ in range(400):
+            n = rng.randint(window.lo, window.hi)
+            step = rng.choice([1, 2, 3, 4, 9, 16, 27, 64, 81, rng.randint(1, len(window))])
+            max_terms = rng.choice([None, 1, 2, 5, 2 * sub.length**3])
+            stop_at = rng.choice([None, 1, 2, 3])
+            expected = _progression_by_letters(window, n, step, max_terms, stop_at)
+            assert sample_progression(window, n, step, max_terms, stop_at) == expected
