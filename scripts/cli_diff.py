@@ -5,15 +5,13 @@
 
 ``dump`` runs ``toeplitz --range=-200..200``, ``reduced-graph --format
 text|dot``, ``semigroup``, ``kernel --side one-sided|two-sided``,
-``fixed-point --range=-300..300`` and ``check`` in-process on the paper
-examples and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
-``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
-exit code, stdout, stderr) per run.  Run it once per checkout, each in a
-fresh interpreter.  ``compare`` counts identical runs per verb and prints
-every difference, except the one accepted change of output: a ``check``
-whose only difference is ``FAIL: subsequence/column duality`` turned into
-``ok: ...`` (exit code 3 -> 0 when that was its only FAIL) is counted
-separately.
+``fixed-point --range=-300..300``, ``automaton --reading direct|reverse
+--minimize --format table`` and ``check`` in-process on the paper examples
+and on ``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for
+s in {1, 2}, and writes one JSON line (input, verb, exit code, stdout,
+stderr) per run.  Run it once per checkout, each in a fresh interpreter.
+``compare`` counts the identical runs per verb and names every run that
+differs in stdout, stderr or exit code.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ VERBS = {
     "kernel-one": ["kernel", None, "--side", "one-sided"],
     "kernel-two": ["kernel", None, "--side", "two-sided"],
     "fixed-point": ["fixed-point", None, "--range=-300..300"],
+    "min-direct": ["automaton", None, "--reading", "direct", "--minimize", "--format", "table"],
+    "min-reverse": ["automaton", None, "--reading", "reverse", "--minimize", "--format", "table"],
     "check": ["check", None],
 }
-DUALITY_FAIL = "FAIL: subsequence/column duality"
-DUALITY_OK = "ok: subsequence/column duality"
 
 
 def inputs(Substitution, corpus):
@@ -102,28 +100,16 @@ def compare(old_path: str, new_path: str) -> int:
         print("the two dumps cover different runs")
         return 1
     counts: collections.Counter = collections.Counter()
-    other = 0
     for (name, verb, rc, out, err), (_, _, rc2, out2, err2) in zip(old, new):
-        if (rc, out, err) == (rc2, out2, err2):
-            counts[verb, "identical"] += 1
-            continue
-        only_duality = out.count("FAIL") == 1 and DUALITY_FAIL in out
-        expected_rc = 0 if rc == 3 and only_duality else rc
-        if (
-            verb == "check"
-            and DUALITY_FAIL in out
-            and out.replace(DUALITY_FAIL, DUALITY_OK) == out2
-            and err == err2
-            and rc2 == expected_rc
-        ):
-            counts[verb, f"duality FAIL -> ok, exit {rc} -> {rc2}"] += 1
-            continue
-        other += 1
-        print(f"DIFF {name} {verb}: exit {rc} -> {rc2}")
+        same = (rc, out, err) == (rc2, out2, err2)
+        counts[verb, "identical" if same else "different"] += 1
+        if not same:
+            print(f"DIFF {name} {verb}: exit {rc} -> {rc2}")
     for key in sorted(counts):
         print(*key, counts[key], sep="\t")
-    print(f"{len(old)} runs, {other} other differences")
-    return 1 if other else 0
+    differ = sum(n for (_, kind), n in counts.items() if kind == "different")
+    print(f"{len(old)} runs, {differ} differences")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

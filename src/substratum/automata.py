@@ -446,60 +446,50 @@ def _as_dfao(machine) -> Dfao:
 
 
 def minimize(machine) -> Dfao:
-    """Moore partition refinement; the initial partition keys on both outputs."""
-    dfao = _as_dfao(machine)
-    order = _reachable_order(dfao)
-    states = order  # trim: unreachable states are dropped
-    remap = {s: i for i, s in enumerate(states)}
+    """Moore partition refinement; the initial partition keys on both outputs.
 
-    def out_key(s: int):
-        neg = dfao.out_neg[s] if dfao.out_neg is not None else -1
-        return (dfao.out_nonneg[s], neg)
+    Unreachable states are dropped, and the blocks are numbered in the order
+    their first state appears along the BFS order of :func:`_reachable_order`.
+    The result is memoized by the machine's value, so the kernel reuses the
+    minimization of a reverse machine already minimized in the same run.  A
+    remembered answer is that of a Moore run on an equal machine, so
+    ``check``'s "minimize idempotent" line still compares a real
+    minimization.
+    """
+    return _minimize(_as_dfao(machine))
 
-    block: dict[int, int] = {}
-    keys = sorted({out_key(s) for s in states})
-    key_index = {k: i for i, k in enumerate(keys)}
-    for s in states:
-        block[s] = key_index[out_key(s)]
+
+@lru_cache(maxsize=None)
+def _minimize(dfao: Dfao) -> Dfao:
+    states = _reachable_order(dfao)
+    delta = dfao.delta
+    out_neg = dfao.out_neg if dfao.out_neg is not None else (-1,) * dfao.num_states
+    block: list = list(zip(dfao.out_nonneg, out_neg))  # round 0: each state's output pair
+    count = len({block[s] for s in states})
     while True:
+        # each round numbers the blocks by first appearance along ``states``
         signatures: dict[tuple, int] = {}
-        new_block: dict[int, int] = {}
+        refined = [0] * dfao.num_states
         for s in states:
-            sig = (block[s], tuple(block[dfao.delta[s][d]] for d in range(dfao.ell)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[s] = signatures[sig]
-        if len(signatures) == len(set(block.values())):
-            block = new_block
+            refined[s] = signatures.setdefault(
+                (block[s], *map(block.__getitem__, delta[s])), len(signatures)
+            )
+        block = refined
+        if len(signatures) == count:
             break
-        block = new_block
-
-    # canonical numbering: blocks ordered by first appearance along the BFS order
-    block_order: list[int] = []
-    rep: dict[int, int] = {}
+        count = len(signatures)
+    rep: list[int] = []  # rep[b]: the first state of block b, which becomes state b
     for s in states:
-        b = block[s]
-        if b not in rep:
-            rep[b] = s
-            block_order.append(b)
-    renum = {b: i for i, b in enumerate(block_order)}
-    delta = tuple(
-        tuple(renum[block[dfao.delta[rep[b]][d]]] for d in range(dfao.ell)) for b in block_order
-    )
-    return Dfao(
-        ell=dfao.ell,
-        labels=tuple(dfao.labels[rep[b]] for b in block_order),
-        delta=delta,
-        initial_nonneg=renum[block[dfao.initial_nonneg]],
-        initial_neg=renum[block[dfao.initial_neg]] if dfao.initial_neg is not None else None,
-        out_alphabet=dfao.out_alphabet,
-        out_nonneg=tuple(dfao.out_nonneg[rep[b]] for b in block_order),
-        out_neg=(
-            tuple(dfao.out_neg[rep[b]] for b in block_order) if dfao.out_neg is not None else None
-        ),
-        reading=dfao.reading,
-        pad_nonneg=dfao.pad_nonneg,
-        pad_neg=dfao.pad_neg,
+        if block[s] == len(rep):
+            rep.append(s)
+    return replace(
+        dfao,
+        labels=tuple(dfao.labels[s] for s in rep),
+        delta=tuple(tuple(map(block.__getitem__, delta[s])) for s in rep),
+        initial_nonneg=block[dfao.initial_nonneg],
+        initial_neg=block[dfao.initial_neg] if dfao.initial_neg is not None else None,
+        out_nonneg=tuple(dfao.out_nonneg[s] for s in rep),
+        out_neg=tuple(dfao.out_neg[s] for s in rep) if dfao.out_neg is not None else None,
     )
 
 

@@ -15,7 +15,6 @@ from .errors import (
     BadAlphabet,
     BadSeed,
     DigitOutOfRange,
-    NontrivialHeight,
     Overflow,
     RuleLengthMismatch,
     SeedMissing,
@@ -395,19 +394,6 @@ class Substitution:
         while (d := math.gcd(h, self.length)) > 1:
             h //= d
         return max(h, 1)
-
-    def column_number(self, budget: int | None = None) -> int:
-        """Minimum image size over the semigroup generated by the columns."""
-        from .semigroup import closure  # local import to avoid a module cycle
-
-        if self.height(budget=budget) != 1:
-            raise NontrivialHeight(
-                "column number requires trivial height; pure base construction not provided"
-            )
-        return closure(self.columns()).min_rank
-
-    def has_coincidence(self, budget: int | None = None) -> bool:
-        return self.column_number(budget=budget) == 1
 
     def is_aperiodic_heuristic(self, budget: int | None = None) -> bool:
         """Window check: no period up to ell^2 in a window of length 4*ell^3.

@@ -311,20 +311,46 @@ def _shortest_paths(initial: int, keep: set[int], adjacency) -> dict[int, tuple[
 
 
 def _labelled_cycles(vertices, adjacency, max_length: int, max_count: int):
-    """Simple digit-labelled cycles up to the length budget.
+    """Simple digit-labelled cycles up to the length budget, at most ``max_count``.
 
-    A cycle is anchored at its smallest vertex to avoid reporting rotations.
+    A cycle is anchored at its smallest vertex to avoid reporting rotations
+    and found by a depth-first search over the vertices above its anchor.  As
+    in Johnson's circuit enumeration (SIAM J. Comput. 4(1), 1975), branches
+    that cannot return are pruned: one reverse BFS per anchor gives
+    ``back[t]``, the fewest edges from t back to the anchor, and the search
+    enters t only when the path so far, the edge and ``back[t]`` fit in
+    ``max_length``.  A pruned branch closes no cycle within the bound and the
+    others are explored in the same order, so the cycles, their order and the
+    cut at ``max_count`` are those of the unpruned search.
     """
+    successors = {v: sorted(adjacency[v], reverse=True) for v in vertices}
+    predecessors: dict[int, list[int]] = {v: [] for v in vertices}
+    for v in vertices:
+        for _, t in adjacency[v]:
+            predecessors[t].append(v)
     cycles: list[tuple[int, tuple[int, ...]]] = []
     for anchor in sorted(vertices):
+        back = {anchor: 0}
+        frontier = [anchor]
+        depth = 0
+        while frontier and depth < max_length - 1:
+            depth += 1
+            reached = []
+            for t in frontier:
+                for s in predecessors[t]:
+                    if s > anchor and s not in back:
+                        back[s] = depth
+                        reached.append(s)
+            frontier = reached
         stack = [(anchor, (), frozenset())]
         while stack:
             v, digit_seq, visited = stack.pop()
-            for d, t in sorted(adjacency[v], reverse=True):
+            room = max_length - len(digit_seq) - 1  # edges left after the next one
+            for d, t in successors[v]:
                 if t == anchor:
                     cycles.append((anchor, digit_seq + (d,)))
                     if len(cycles) >= max_count:
                         return cycles
-                elif t > anchor and t not in visited and len(digit_seq) + 1 < max_length:
+                elif back.get(t, room + 1) <= room and t not in visited:
                     stack.append((t, digit_seq + (d,), visited | {t}))
     return cycles

@@ -123,7 +123,7 @@ def test_criterion_6_verdicts_vs_oracle(bigdiag):
 
 def test_criterion_7_non_toeplitz_refusal(thue_morse):
     with budgeted("7 Thue–Morse refusal", 5.0):
-        assert thue_morse.column_number() == 2
+        assert closure(thue_morse.columns()).min_rank == 2
         with pytest.raises(NotToeplitz):
             decide_per(thue_morse, 3)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,8 @@ from substratum import (
     pad,
     window_for_range,
 )
+from substratum import automata
+from substratum.automata import _reachable_order
 
 
 def delta_by_letter(machine):
@@ -217,6 +220,134 @@ def test_minimize_idempotent(pd, pd2, bigdiag, thue_morse):
             again = minimize(machine)
             assert again.num_states == machine.num_states
             assert equivalent(machine, again).equal
+
+
+def dict_moore_minimize(dfao):
+    """Moore refinement on dicts, as minimize ran before its list rewrite: the reference."""
+    states = _reachable_order(dfao)
+
+    def out_key(s: int):
+        neg = dfao.out_neg[s] if dfao.out_neg is not None else -1
+        return (dfao.out_nonneg[s], neg)
+
+    block: dict[int, int] = {}
+    keys = sorted({out_key(s) for s in states})
+    key_index = {k: i for i, k in enumerate(keys)}
+    for s in states:
+        block[s] = key_index[out_key(s)]
+    while True:
+        signatures: dict[tuple, int] = {}
+        new_block: dict[int, int] = {}
+        for s in states:
+            sig = (block[s], tuple(block[dfao.delta[s][d]] for d in range(dfao.ell)))
+            if sig not in signatures:
+                signatures[sig] = len(signatures)
+            new_block[s] = signatures[sig]
+        if len(signatures) == len(set(block.values())):
+            block = new_block
+            break
+        block = new_block
+
+    block_order: list[int] = []
+    rep: dict[int, int] = {}
+    for s in states:
+        b = block[s]
+        if b not in rep:
+            rep[b] = s
+            block_order.append(b)
+    renum = {b: i for i, b in enumerate(block_order)}
+    delta = tuple(
+        tuple(renum[block[dfao.delta[rep[b]][d]]] for d in range(dfao.ell)) for b in block_order
+    )
+    return Dfao(
+        ell=dfao.ell,
+        labels=tuple(dfao.labels[rep[b]] for b in block_order),
+        delta=delta,
+        initial_nonneg=renum[block[dfao.initial_nonneg]],
+        initial_neg=renum[block[dfao.initial_neg]] if dfao.initial_neg is not None else None,
+        out_alphabet=dfao.out_alphabet,
+        out_nonneg=tuple(dfao.out_nonneg[rep[b]] for b in block_order),
+        out_neg=(
+            tuple(dfao.out_neg[rep[b]] for b in block_order) if dfao.out_neg is not None else None
+        ),
+        reading=dfao.reading,
+        pad_nonneg=dfao.pad_nonneg,
+        pad_neg=dfao.pad_neg,
+    )
+
+
+def fixture_machines(subs):
+    """The direct, reverse and determinized machine of every substitution."""
+    for sub in subs:
+        direct = build_direct(sub)
+        yield from (direct, build_reverse_semigroup(sub).dfao, reverse_and_determinize(direct))
+
+
+def toolkit_cache_clears():
+    """cache_clear of every lru_cache in the toolkit's modules, found the way
+    the benchmark worker finds them before each operation."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "substratum" or name.startswith("substratum."):
+            for value in vars(module).values():
+                clear = getattr(value, "cache_clear", None)
+                if callable(clear):
+                    found[id(value)] = clear
+    return list(found.values())
+
+
+ALL_FIXTURES = (
+    "pd", "pd2", "bigdiag", "thue_morse", "constant_sub", "periodic_right_seed", "height_two", "six_letter",
+)
+
+
+def test_minimize_matches_dict_moore_on_fixtures(request):
+    subs = [request.getfixturevalue(name) for name in ALL_FIXTURES]
+    for machine in fixture_machines(subs):
+        assert minimize(machine) == dict_moore_minimize(machine)
+        one_sided = replace(machine, initial_neg=None, out_neg=None)
+        assert minimize(one_sided) == dict_moore_minimize(one_sided)
+
+
+def test_minimize_matches_dict_moore_with_unreachable_states():
+    # states 3 and 4 are never reached; 1 and 2 are equivalent, and 2, the
+    # negative initial state, comes first in the BFS order
+    machine = Dfao(
+        ell=2,
+        labels=("p", "q", "r", "s", "t"),
+        delta=((1, 2), (0, 1), (0, 2), (4, 0), (3, 3)),
+        initial_nonneg=0,
+        initial_neg=2,
+        out_alphabet=("x", "y"),
+        out_nonneg=(0, 1, 1, 0, 1),
+        out_neg=(1, 0, 0, 1, 1),
+        reading="reverse",
+    )
+    smaller = minimize(machine)
+    assert smaller == dict_moore_minimize(machine)
+    assert smaller.labels == ("p", "r")
+
+
+def test_minimize_matches_dict_moore_on_a_padded_json_machine(periodic_right_seed):
+    data = build_reverse_semigroup(periodic_right_seed).dfao.to_json_dict()
+    data["pads"] = [2, 3]
+    machine = Dfao.from_json_dict(json.loads(json.dumps(data)))
+    assert (machine.pad_nonneg, machine.pad_neg) == (2, 3)
+    assert minimize(machine) == dict_moore_minimize(machine)
+
+
+def test_minimize_is_memoized_by_value(pd2, bigdiag, periodic_right_seed):
+    subs = (pd2, bigdiag, periodic_right_seed)
+    before = [minimize(m) for m in fixture_machines(subs)]
+    for machine, result in zip(fixture_machines(subs), before):
+        assert minimize(machine) is minimize(machine) is result
+    clears = toolkit_cache_clears()
+    assert automata._minimize.cache_clear in clears
+    for clear in clears:
+        clear()
+    after = [minimize(m) for m in fixture_machines(subs)]
+    assert after == before
+    assert all(a is not b for a, b in zip(after, before))
 
 
 def test_minimal_machines_have_equal_size(pd2, bigdiag):

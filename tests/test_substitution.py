@@ -4,11 +4,11 @@ from substratum import (
     BadSeed,
     ColumnMap,
     DigitOutOfRange,
-    NontrivialHeight,
     Overflow,
     RuleLengthMismatch,
     Substitution,
     UnknownLetter,
+    closure,
     validate,
 )
 
@@ -165,23 +165,16 @@ def test_height_two(height_two):
 
 
 def test_column_number(pd, bigdiag, thue_morse):
-    assert pd.column_number() == 1
-    assert bigdiag.column_number() == 1
-    assert thue_morse.column_number() == 2
+    # the column number is the least image size over the closure of the columns
+    assert closure(pd.columns()).min_rank == 1
+    assert closure(bigdiag.columns()).min_rank == 1
+    assert closure(thue_morse.columns()).min_rank == 2
 
 
 def test_column_number_power_invariant(pd, bigdiag, thue_morse):
-    from substratum import closure
-
-    for sub in (pd, bigdiag, thue_morse):
-        base = closure(sub.columns()).min_rank
-        for k in range(2, 7):
-            assert closure(sub.power(k).columns()).min_rank == base
-
-
-def test_column_number_refuses_nontrivial_height(height_two):
-    with pytest.raises(NontrivialHeight):
-        height_two.column_number()
+    for sub, expected in ((pd, 1), (bigdiag, 1), (thue_morse, 2)):
+        for k in range(1, 7):
+            assert closure(sub.power(k).columns()).min_rank == expected
 
 
 def test_aperiodicity_heuristic(pd2, bigdiag, height_two):

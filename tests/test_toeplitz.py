@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 from substratum import (
     NontrivialHeight,
     NotToeplitz,
+    Substitution,
+    SubstratumError,
     aperiodic_in_range,
+    build_reverse_semigroup,
     decide_per,
     reduced_graph,
     to_digits,
 )
-from substratum.toeplitz import gate
+from substratum.toeplitz import _labelled_cycles, gate
 
 BIGDIAG_APERIODIC_50 = (
     -50, -49, -48, -47, -46, -42, -41, -40, -36, -35, -34, -33, -32, -31, -30,
@@ -147,3 +152,87 @@ def test_aperiodic_walks_stay_in_reduced_graph(bigdiag):
 def test_reduced_graph_refuses_non_coincidence(thue_morse):
     with pytest.raises(NotToeplitz):
         reduced_graph(thue_morse)
+
+
+def unpruned_labelled_cycles(vertices, adjacency, max_length, max_count):
+    """The cycle search as it was before return-distance pruning: the reference."""
+    cycles = []
+    for anchor in sorted(vertices):
+        stack = [(anchor, (), frozenset())]
+        while stack:
+            v, digit_seq, visited = stack.pop()
+            for d, t in sorted(adjacency[v], reverse=True):
+                if t == anchor:
+                    cycles.append((anchor, digit_seq + (d,)))
+                    if len(cycles) >= max_count:
+                        return cycles
+                elif t > anchor and t not in visited and len(digit_seq) + 1 < max_length:
+                    stack.append((t, digit_seq + (d,), visited | {t}))
+    return cycles
+
+
+def cycle_search_input(sub):
+    """The vertices and adjacency that reduced_graph hands to the cycle search."""
+    graph = reduced_graph(sub)
+    adjacency = {v: [] for v in graph.vertices}
+    for s, d, t in graph.edges:
+        adjacency[s].append((d, t))
+    return list(graph.vertices), adjacency
+
+
+def admitted_random_substitutions(seed, count, max_states=128):
+    """Seeded random 4..6-letter substitutions that the gate admits, with
+    reverse machines below ``max_states`` states."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        letters = "abcdef"[: rng.randint(4, 6)]
+        length = rng.randint(2, 4)
+        rules = {a: "".join(rng.choice(letters) for _ in range(length)) for a in letters}
+        a_l = a_r = "a"
+        for _ in letters:  # after |A| steps both letters lie on a cycle of their column
+            a_l, a_r = rules[a_l][-1], rules[a_r][0]
+        sub = Substitution.from_parts(list(letters), length, rules, seed=[a_l, a_r])
+        try:
+            build_reverse_semigroup(sub, budget=max_states)
+            gate(sub)
+        except SubstratumError:
+            continue
+        found.append(sub)
+    return found
+
+
+def assert_cycle_search_unchanged(vertices, adjacency):
+    """Equal lists on every budget pair; returns how many pairs hit the count budget."""
+    hits = 0
+    for max_length in (1, 2, 3, 5, 12):
+        for max_count in (1, 7, 500):
+            expected = unpruned_labelled_cycles(vertices, adjacency, max_length, max_count)
+            assert _labelled_cycles(vertices, adjacency, max_length, max_count) == expected
+            hits += len(expected) >= max_count
+    return hits
+
+
+def test_cycle_search_matches_unpruned_search_on_fixtures(
+    pd, pd2, bigdiag, periodic_right_seed, constant_sub
+):
+    hits = 0
+    for sub in (pd, pd2, bigdiag, periodic_right_seed, constant_sub):
+        hits += assert_cycle_search_unchanged(*cycle_search_input(sub))
+    assert hits > 0
+
+
+def test_cycle_search_matches_unpruned_search_on_random_substitutions():
+    hits = 0
+    for sub in admitted_random_substitutions(seed=6, count=10):
+        hits += assert_cycle_search_unchanged(*cycle_search_input(sub))
+    assert hits > 0
+
+
+def test_cycle_search_matches_unpruned_search_past_the_count_budget():
+    # a complete digraph on six vertices with two digits per edge holds far
+    # more than 500 simple cycles of length <= 12
+    vertices = list(range(6))
+    adjacency = {v: [(d, t) for t in vertices for d in (0, 1)] for v in vertices}
+    assert len(_labelled_cycles(vertices, adjacency, 12, 500)) == 500
+    assert assert_cycle_search_unchanged(vertices, adjacency) > 0
