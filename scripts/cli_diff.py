@@ -3,10 +3,11 @@
     python scripts/cli_diff.py dump SRC_DIR OUT.jsonl   # run the verbs with SRC_DIR/substratum
     python scripts/cli_diff.py compare OLD.jsonl NEW.jsonl
 
-``dump`` runs ``toeplitz --range=-200..200``, ``reduced-graph --format
-text|dot``, ``semigroup``, ``kernel --side one-sided|two-sided``,
-``fixed-point --range=-300..300``, ``automaton --reading direct|reverse
---minimize --format table`` and ``check`` in-process on the paper examples
+``dump`` runs ``toeplitz --range=-200..200`` (plain and ``--certify``),
+``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
+one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
+--range=-300..300``, ``automaton --reading direct|reverse --minimize --format
+table`` and ``check`` in-process on the paper examples
 and on ``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for
 s in {1, 2}, and writes one JSON line (input, verb, exit code, stdout,
 stderr) per run.  Run it once per checkout, each in a fresh interpreter.
@@ -27,11 +28,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VERBS = {
     "toeplitz": ["toeplitz", None, "--range=-200..200"],
+    "toeplitz-certify": ["toeplitz", None, "--certify", "--range=-200..200"],
     "rg-text": ["reduced-graph", None, "--format", "text"],
     "rg-dot": ["reduced-graph", None, "--format", "dot"],
     "semigroup": ["semigroup", None],
     "kernel-one": ["kernel", None, "--side", "one-sided"],
     "kernel-two": ["kernel", None, "--side", "two-sided"],
+    "kernel-depth2": ["kernel", None, "--side", "one-sided", "--depth", "2"],
     "fixed-point": ["fixed-point", None, "--range=-300..300"],
     "min-direct": ["automaton", None, "--reading", "direct", "--minimize", "--format", "table"],
     "min-reverse": ["automaton", None, "--reading", "reverse", "--minimize", "--format", "table"],

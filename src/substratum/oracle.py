@@ -2,13 +2,15 @@
 
 Everything here works directly on expanded words, never on automata, so it can
 serve as the independent check for the symbolic constructions.  Windows hold
-letter ordinals; progressions are walked on those and named at the end.  A
-singleton progression sample is only evidence of periodicity (bounded window);
-observing two letters is a certificate of aperiodicity at that step.
+letter ordinals in an ``array``, one byte per letter up to 256 letters, built
+by block substitution; progressions are walked on those and named at the end.
+A singleton progression sample is only evidence of periodicity (bounded
+window); observing two letters is a certificate of aperiodicity at that step.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import IndexOutOfWindow, Overflow, WindowTooShort
@@ -17,12 +19,17 @@ from .substitution import Alphabet, Substitution, word_budget
 
 @dataclass(frozen=True)
 class Window:
-    """A finite slice u_lo .. u_hi of a two-sided sequence, ordinal-encoded."""
+    """A finite slice u_lo .. u_hi of a two-sided sequence, ordinal-encoded.
+
+    ``letters`` is an ``array`` of ordinals, typecode ``"B"`` (one byte per
+    letter) up to 256 letters and ``"I"`` beyond.  It is never mutated, but an
+    array is unhashable, so a Window is not hashable either.
+    """
 
     alphabet: Alphabet
     lo: int
     hi: int
-    letters: tuple[int, ...]
+    letters: array
 
     def __post_init__(self) -> None:
         if len(self.letters) != self.hi - self.lo + 1:
@@ -57,8 +64,13 @@ def expand(sub: Substitution, generations: int, budget: int | None = None) -> Wi
     """Window covering at least [-ell^g, ell^g - 1], by substituting the seed.
 
     When the seed letters are merely periodic (not fixed) under the end
-    columns, generations are rounded up to the seed period so the expansion
-    anchors correctly.
+    columns, generations are rounded up to the seed period p = lcm(p_r, p_l)
+    on both sides, although each side would anchor at a multiple of its own
+    period: the window stays symmetric and its extent depends on g and p
+    alone, and so do the progression samples and brute-force counts read off
+    it.  Each side is theta^g of its seed letter from one block substitution,
+    so the cost is one join of about 2*ell^g bytes plus a Python-level loop
+    over about |A|*ell^(g/2) letters.
     """
     if generations < 1:
         raise Overflow("need at least one generation")
@@ -70,12 +82,8 @@ def expand(sub: Substitution, generations: int, budget: int | None = None) -> Wi
     limit = word_budget(budget)
     if sub.length**g > limit:
         raise Overflow(f"window of length 2*{sub.length}^{g} exceeds budget {limit}")
-    left: tuple[int, ...] = (a_l,)
-    right: tuple[int, ...] = (a_r,)
-    for _ in range(g):
-        left = sub.apply(left, budget=limit)
-        right = sub.apply(right, budget=limit)
-    return Window(sub.alphabet, -len(left), len(right) - 1, left + right)
+    left = sub._substitute(a_l, g, limit)
+    return Window(sub.alphabet, -len(left), len(left) - 1, left + sub._substitute(a_r, g, limit))
 
 
 def window_for_range(sub: Substitution, lo: int, hi: int, budget: int | None = None) -> Window:

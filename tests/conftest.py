@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from substratum import Substitution
@@ -57,3 +59,26 @@ def six_letter():
         {"a": "abea", "b": "dcdc", "c": "aeee", "d": "ecde", "e": "abfb", "f": "eeba"},
         seed=["a", "a"],
     )
+
+
+@pytest.fixture(scope="session")
+def random_inputs():
+    """Sixty seeded random 2..5-letter substitutions with ell in 2..4, whose
+    seed letters lie on cycles of the end columns, often with period above 1."""
+    rng = random.Random(7)
+    subs = []
+    for _ in range(60):
+        letters = list("abcde"[: rng.randint(2, 5)])
+        length = rng.randint(2, 4)
+        rules = {a: [rng.choice(letters) for _ in range(length)] for a in letters}
+        a_l = a_r = letters[0]
+        for _ in letters:  # after |A| steps both letters lie on a cycle of their column
+            a_l, a_r = rules[a_l][-1], rules[a_r][0]
+        subs.append(Substitution.from_parts(letters, length, rules, seed=[a_l, a_r]))
+    return subs
+
+
+@pytest.fixture(scope="session")
+def fixtures(pd, pd2, bigdiag, thue_morse, constant_sub, periodic_right_seed, height_two, six_letter):
+    """Every seeded example above."""
+    return [pd, pd2, bigdiag, thue_morse, constant_sub, periodic_right_seed, height_two, six_letter]

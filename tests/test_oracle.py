@@ -5,10 +5,15 @@ import pytest
 from substratum import (
     IndexOutOfWindow,
     Overflow,
+    Substitution,
+    Window,
+    brute_force_kernel,
+    brute_force_kernel_for,
     expand,
     sample_progression,
     window_for_range,
 )
+from substratum.substitution import word_budget
 
 
 def test_expand_bigdiag(bigdiag):
@@ -117,3 +122,73 @@ def test_sample_progression_matches_the_letter_walk(bigdiag, pd2):
             stop_at = rng.choice([None, 1, 2, 3])
             expected = _progression_by_letters(window, n, step, max_terms, stop_at)
             assert sample_progression(window, n, step, max_terms, stop_at) == expected
+
+
+def _expand_by_steps(sub, generations):
+    """The per-generation tuple loop that expand's block substitution must
+    match: (lo, hi, letters) or the Overflow message."""
+    a_l, a_r = sub.require_seed()
+    p = sub.seed_period()
+    g = generations
+    if g % p:
+        g += p - g % p
+    limit = word_budget()
+    if sub.length**g > limit:
+        return f"window of length 2*{sub.length}^{g} exceeds budget {limit}"
+    left, right = (a_l,), (a_r,)
+    for _ in range(g):
+        left = sub.apply(left, budget=limit)
+        right = sub.apply(right, budget=limit)
+    return -len(left), len(right) - 1, left + right
+
+
+def _expand_outcome(sub, generations):
+    try:
+        window = expand(sub, generations)
+    except Overflow as exc:
+        return str(exc)
+    return window.lo, window.hi, tuple(window.letters)
+
+
+def test_expand_matches_the_generation_loop(fixtures, random_inputs):
+    subs = fixtures + random_inputs
+    assert any(sub.seed_period() > 1 for sub in subs)
+    for sub in subs:
+        for g in range(1, 7):
+            assert _expand_outcome(sub, g) == _expand_by_steps(sub, g)
+
+
+def test_expand_overflows_at_the_same_generation(monkeypatch, fixtures, random_inputs):
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "100")
+    overflows = 0
+    for sub in fixtures + random_inputs:
+        for g in range(1, 7):
+            expected = _expand_by_steps(sub, g)
+            assert _expand_outcome(sub, g) == expected
+            overflows += isinstance(expected, str)
+    assert overflows
+
+
+def test_expand_wide_alphabet_uses_four_byte_letters():
+    rng = random.Random(300)
+    letters = [f"x{i}" for i in range(300)]
+    rules = {a: [rng.choice(letters) for _ in range(3)] for a in letters}
+    rules["x0"] = ["x0", rng.choice(letters), "x0"]
+    sub = Substitution.from_parts(letters, 3, rules, seed=["x0", "x0"])
+    window = expand(sub, 6)
+    assert window.letters.typecode == "I" and max(window.letters) > 255
+    assert _expand_outcome(sub, 6) == _expand_by_steps(sub, 6)
+    assert sub.fixed_point_window(-300, 300) == tuple(window.letter(n) for n in range(-300, 301))
+
+
+def test_one_sided_brute_force_counts_unchanged(fixtures, random_inputs):
+    for sub in fixtures + random_inputs[:20]:
+        for e_max in (1, 2):
+            span = sub.length**e_max * 8
+            g = 1
+            while sub.length**g < max(span + 1, sub.length):  # window_for_range(sub, 0, span)
+                g += 1
+            lo, hi, letters = _expand_by_steps(sub, g)
+            one_sided = Window(sub.alphabet, 0, hi, letters[-lo:])
+            reference = brute_force_kernel(one_sided, sub.length, e_max)
+            assert brute_force_kernel_for(sub, e_max, side="one-sided") == reference

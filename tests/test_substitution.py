@@ -8,6 +8,7 @@ from substratum import (
     RuleLengthMismatch,
     Substitution,
     UnknownLetter,
+    build_direct,
     closure,
     validate,
 )
@@ -224,3 +225,38 @@ def test_budget_env_override(pd, monkeypatch):
         pd.power(4)
     monkeypatch.setenv("SUBSTRATUM_BUDGET", "1000000")
     assert pd.power(4).length == 16
+
+
+def _aperiodic_by_index(sub):
+    """The per-index period loop that is_aperiodic_heuristic must match."""
+    size = 4 * sub.length**3
+    word = sub.fixed_point_window(0, size - 1)
+    for period in range(1, sub.length**2 + 1):
+        if all(word[i] == word[i + period] for i in range(size - period)):
+            return False
+    return True
+
+
+def test_aperiodicity_heuristic_matches_the_index_loop(fixtures, random_inputs):
+    verdicts = set()
+    for sub in fixtures + random_inputs:
+        verdict = sub.is_aperiodic_heuristic()
+        assert verdict == _aperiodic_by_index(sub), str(sub)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_window_sides_grow_by_their_own_seed_period():
+    # periods 3 (right) and 5 (left): a window of 4^15 letters per side would
+    # exceed the budget, while each side alone needs at most 4^6 letters here
+    sub = Substitution.from_parts(
+        list("abcde"),
+        4,
+        {"a": "ddae", "b": "badc", "c": "abed", "d": "cada", "e": "dbeb"},
+        seed=["a", "c"],
+    )
+    assert sub.seed_periods() == (3, 5)
+    direct = build_direct(sub)
+    assert sub.fixed_point_window(0, 255) == direct.run_range(0, 255)
+    assert sub.fixed_point_window(-300, -1) == direct.run_range(-300, -1)
+    assert sub.is_aperiodic_heuristic()
