@@ -7,10 +7,12 @@
 ``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
 one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 --range=-300..300``, ``automaton --reading direct|reverse --minimize --format
-table`` and ``check`` in-process on the paper examples
-and on ``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for
-s in {1, 2}, and writes one JSON line (input, verb, exit code, stdout,
-stderr) per run.  Run it once per checkout, each in a fresh interpreter.
+table`` and ``check`` in-process on the paper examples, on the six-letter
+ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde, e->abfb, f->eeba`` (seed
+a·a) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
+``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
+exit code, stdout, stderr) per run.  Run it once per checkout, each in a
+fresh interpreter.
 ``compare`` counts the identical runs per verb and names every run that
 differs in stdout, stderr or exit code.
 """
@@ -54,6 +56,15 @@ def inputs(Substitution, corpus):
         ("thue-morse", parts("ab", 2, {"a": "ab", "b": "ba"}, "ba")),
         ("height-two", parts("ab", 3, {"a": "aba", "b": "bab"}, "ba")),
         ("periodic-right-seed", parts("ab", 2, {"a": "bb", "b": "ab"}, "ba")),
+        (
+            "six-letter",
+            parts(
+                "abcdef",
+                4,
+                {"a": "abea", "b": "dcdc", "c": "aeee", "d": "ecde", "e": "abfb", "f": "eeba"},
+                "aa",
+            ),
+        ),
     ]
     for s in (1, 2):
         named += [(f"check{s}-{i}", e.sub) for i, e in enumerate(corpus.check_corpus(s))]

@@ -25,7 +25,6 @@ from .errors import (
     DigitOutOfRange,
     IndexOutOfWindow,
     InputError,
-    InvariantViolation,
     NoNegativeSide,
     NonCanonical,
     NontrivialHeight,
@@ -48,7 +47,7 @@ from .kernel import (
 )
 from .oracle import Window, expand, sample_progression, window_for_range
 from .semigroup import SemigroupClosure, StructureSemigroup, closure, structure_semigroup
-from .substitution import Alphabet, ColumnMap, Substitution, validate
+from .substitution import Alphabet, ColumnMap, Substitution
 from .toeplitz import (
     CycleInfo,
     PeriodicityVerdict,
@@ -65,7 +64,6 @@ __all__ = [
     "Alphabet",
     "ColumnMap",
     "Substitution",
-    "validate",
     "DigitString",
     "to_digits",
     "to_int",
@@ -116,5 +114,4 @@ __all__ = [
     "WindowTooShort",
     "IndexOutOfWindow",
     "NoNegativeSide",
-    "InvariantViolation",
 ]

@@ -317,7 +317,6 @@ class SemigroupAutomaton:
     dfao: Dfao
     state_maps: tuple[ColumnMap, ...]
     state_phases: tuple[int, ...]
-    seed_letters: tuple[str, str]
     period: int
 
     @property
@@ -327,11 +326,8 @@ class SemigroupAutomaton:
     def run(self, n: int) -> str:
         return self.dfao.run(n)
 
-    def label(self, state: int) -> ColumnMap:
-        return self.state_maps[state]
 
-
-def build_reverse_semigroup(sub: Substitution, budget: int | None = None) -> SemigroupAutomaton:
+def build_reverse_semigroup(sub: Substitution) -> SemigroupAutomaton:
     """Reverse-reading machine with delta(s, i) = s ∘ theta_i from the identity.
 
     It is the reversal of the direct machine: the transition maps of that
@@ -345,13 +341,13 @@ def build_reverse_semigroup(sub: Substitution, budget: int | None = None) -> Sem
     """
     if sub.seed is None:
         raise SeedMissing("the reverse machine needs a seed for its outputs")
-    return _reverse_semigroup(sub, word_budget(budget))
+    return _reverse_semigroup(sub, word_budget())
 
 
 @lru_cache(maxsize=None)
 def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
-    nodes, dfao = _determinize(build_direct(sub), limit)
-    a_l, a_r = sub.seed
+    """Keyed on the budget too, so a changed ``SUBSTRATUM_BUDGET`` applies."""
+    nodes, dfao = _determinize(build_direct(sub))
     period = sub.seed_period()
     maps = tuple(ColumnMap(sub.alphabet, f) for f, _ in nodes)
     labels = tuple(
@@ -361,7 +357,6 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
         dfao=replace(dfao, labels=labels),
         state_maps=maps,
         state_phases=tuple(phase for _, phase in nodes),
-        seed_letters=(sub.alphabet[a_l], sub.alphabet[a_r]),
         period=period,
     )
 
@@ -369,14 +364,14 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
 # -- the closure engine and reversal by determinization ---------------------
 
 
-def _orbit(generators, start, period: int, budget: int | None = None):
+def _orbit(generators, start, period: int):
     """Breadth-first closure of ``start`` under right composition.
 
     Nodes are ``(map, phase)`` pairs, the map an int tuple; generator g leads
     from ``(f, p)`` to ``(f ∘ g, p + 1 mod period)``.  Returns the nodes,
     numbered in discovery order, and the delta table over those numbers.
     """
-    limit = word_budget(budget)
+    limit = word_budget()
     index = {start: 0}
     nodes = [start]
     delta = []
@@ -396,7 +391,7 @@ def _orbit(generators, start, period: int, budget: int | None = None):
     return nodes, delta
 
 
-def reverse_and_determinize(dfao: Dfao, budget: int | None = None) -> Dfao:
+def reverse_and_determinize(dfao: Dfao) -> Dfao:
     """Reverse-reading machine equivalent to a direct-reading one.
 
     Reversing the edges yields a nondeterministic machine; it is determinized
@@ -405,17 +400,17 @@ def reverse_and_determinize(dfao: Dfao, budget: int | None = None) -> Dfao:
     composed digit by digit.  Outputs evaluate that function at the original
     initial states (after completing the word-length phase pinned by the pads).
     """
-    return _determinize(dfao, budget)[1]
+    return _determinize(dfao)[1]
 
 
-def _determinize(dfao: Dfao, budget: int | None):
+def _determinize(dfao: Dfao):
     """The orbit nodes of :func:`reverse_and_determinize`, and its machine."""
     if dfao.reading != DIRECT:
         raise ValueError("reversal expects a direct-reading machine")
     two_sided = dfao.two_sided()
     period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if two_sided else 1)
     generators = [tuple(row[d] for row in dfao.delta) for d in range(dfao.ell)]
-    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period, budget)
+    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period)
 
     def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[int, ...]:
         anchors = [initial]
@@ -527,24 +522,17 @@ class EquivalenceResult:
 def equivalent(machine1, machine2) -> EquivalenceResult:
     """Decide exactly whether two machines generate the same two-sided sequence.
 
-    Same-reading machines are compared through a product reachability walk
-    over canonical digit words; across readings the direct machine is first
-    reversed by :func:`reverse_and_determinize`, and the reverse walk decides.
+    Every direct-reading argument is first reversed by
+    :func:`reverse_and_determinize`, which folds its pads into a word-length
+    phase; one product walk over canonical reverse-read digit words decides.
     """
     m1, m2 = _as_dfao(machine1), _as_dfao(machine2)
     if m1.ell != m2.ell:
         raise ValueError("machines read different digit alphabets")
     if m1.two_sided() != m2.two_sided():
         return EquivalenceResult(False, None)
-    if m1.reading != m2.reading:
-        m1, m2 = (reverse_and_determinize(m) if m.reading == DIRECT else m for m in (m1, m2))
-    if m1.reading == REVERSE:
-        return _product_check_reverse(m1, m2)
-    return _product_check_direct(m1, m2)
-
-
-def _out_letter(m: Dfao, outputs, state: int) -> str:
-    return m.out_alphabet[outputs[state]]
+    m1, m2 = (reverse_and_determinize(m) if m.reading == DIRECT else m for m in (m1, m2))
+    return _product_check_reverse(m1, m2)
 
 
 def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
@@ -565,7 +553,7 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
         o2 = m2.out_nonneg if side == "nonneg" else m2.out_neg
 
         def mismatch(pair) -> bool:
-            return _out_letter(m1, o1, pair[0]) != _out_letter(m2, o2, pair[1])
+            return m1.out_alphabet[o1[pair[0]]] != m2.out_alphabet[o2[pair[1]]]
 
         if side == "nonneg" and mismatch((s1, s2)):
             return EquivalenceResult(False, 0)  # the empty word is n = 0
@@ -591,57 +579,4 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
                 if child not in seen:
                     seen[child] = (child_value, length + 1)
                     queue.append(child)
-    return EquivalenceResult(True, None)
-
-
-def _product_check_direct(m1: Dfao, m2: Dfao) -> EquivalenceResult:
-    """Product walk for direct reading, over canonical (possibly padded) words.
-
-    Canonical feeds start with a nonzero digit for n > 0 (n = 0 is the empty
-    word) and with one or more markers for n < 0; padded machines only pin
-    their outputs at word lengths divisible by their padding period.
-    """
-    ell = m1.ell
-    marker = ell - 1
-
-    def bfs(starts, o1, o2, pad, negside: bool) -> EquivalenceResult | None:
-        seen = dict(starts)  # (q1, q2, phase) -> (value, length)
-        queue = deque(starts)
-        while queue:
-            q1, q2, phase = queue.popleft()
-            value, length = seen[(q1, q2, phase)]
-            if phase == 0 and _out_letter(m1, o1, q1) != _out_letter(m2, o2, q2):
-                witness = value if not negside else value - ell**length
-                return EquivalenceResult(False, witness)
-            for d in range(ell):
-                child = (m1.delta[q1][d], m2.delta[q2][d], (phase + 1) % pad)
-                if child not in seen:
-                    # direct reading appends less significant digits
-                    seen[child] = (value * ell + d, length + 1)
-                    queue.append(child)
-        return None
-
-    pad = math.lcm(m1.pad_nonneg, m2.pad_nonneg)
-    i1, i2 = m1.initial_nonneg, m2.initial_nonneg
-    if _out_letter(m1, m1.out_nonneg, i1) != _out_letter(m2, m2.out_nonneg, i2):
-        return EquivalenceResult(False, 0)
-    starts = {
-        (m1.delta[i1][d], m2.delta[i2][d], 1 % pad): (d, 1) for d in range(1, ell)
-    }
-    found = bfs(starts, m1.out_nonneg, m2.out_nonneg, pad, negside=False)
-    if found is not None:
-        return found
-
-    if m1.two_sided():
-        # every word led by at least one marker is a padded canonical expansion
-        pad = math.lcm(m1.pad_neg, m2.pad_neg)
-        starts = {
-            (m1.delta[m1.initial_neg][marker], m2.delta[m2.initial_neg][marker], 1 % pad): (
-                marker,
-                1,
-            )
-        }
-        found = bfs(starts, m1.out_neg, m2.out_neg, pad, negside=True)
-        if found is not None:
-            return found
     return EquivalenceResult(True, None)

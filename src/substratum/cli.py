@@ -143,7 +143,7 @@ def cmd_toeplitz(args) -> int:
     sub = load_substitution(args.file)
     lo, hi = parse_range(args.range)
     report = toeplitzmod.aperiodic_in_range(sub, lo, hi, certify=args.certify)
-    print(f"aperiodicity heuristic: {'aperiodic' if report.aperiodic_heuristic else 'PERIODIC?'}")
+    print(f"fixed point: {'aperiodic' if toeplitzmod.gate(sub).aperiodic else 'periodic'}")
     for v in report.verdicts:
         if v.is_periodic():
             print(

@@ -71,7 +71,3 @@ class IndexOutOfWindow(SubstratumError):
 
 class NoNegativeSide(SubstratumError):
     """A one-sided automaton was asked about a negative index."""
-
-
-class InvariantViolation(SubstratumError):
-    """An internal cross-check failed (CLI exit code 3)."""

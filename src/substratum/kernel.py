@@ -23,6 +23,8 @@ from .substitution import ColumnMap, Substitution
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
+SAMPLE_LENGTH = 16  # entries of each kernel element's sample
+MIN_LENGTH = 4  # least entries per subsequence in a brute-force count
 
 
 @dataclass(frozen=True)
@@ -39,23 +41,18 @@ class KernelElement:
         return (self.e, self.j)
 
 
-def enumerate_kernel(
-    sub: Substitution,
-    side: str = TWO_SIDED,
-    sample_length: int = 16,
-    budget: int | None = None,
-) -> tuple[KernelElement, ...]:
+def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelElement, ...]:
     """All distinct kernel subsequences: the states of the minimal reverse machine.
 
     The one-sided kernel minimizes the machine with its negative side
     dropped.  Elements come in the order of their witnesses; each carries the
     column map and word-length phase of its witness state in the unminimised
-    machine, and the first ``sample_length`` entries of its subsequence.
+    machine, and the first ``SAMPLE_LENGTH`` entries of its subsequence.
     """
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"side must be {ONE_SIDED!r} or {TWO_SIDED!r}")
     sub.require_seed()
-    machine = build_reverse_semigroup(sub, budget=budget)
+    machine = build_reverse_semigroup(sub)
     dfao, period = machine.dfao, machine.period
     if side == ONE_SIDED:
         dfao = replace(dfao, initial_neg=None, out_neg=None)
@@ -83,7 +80,7 @@ def enumerate_kernel(
     # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's
     after = [tuple(range(minimal.num_states))]
     columns = list(zip(*minimal.delta))
-    for n in range(1, sample_length):
+    for n in range(1, SAMPLE_LENGTH):
         after.append(tuple(map(after[n // ell].__getitem__, columns[n % ell])))
     letter = tuple(minimal.out_alphabet[o] for o in minimal.out_nonneg)  # per state
 
@@ -99,8 +96,7 @@ def enumerate_kernel(
                 e=e,
                 j=j,
                 phase=machine.state_phases[state] % period,
-                sample=(minimal.run(j),)[:sample_length]
-                + tuple(letter[row[t]] for row in after[1:]),
+                sample=(minimal.run(j),) + tuple(letter[row[t]] for row in after[1:]),
             )
         )
     return tuple(elements)
@@ -109,19 +105,13 @@ def enumerate_kernel(
 @dataclass(frozen=True)
 class BruteForceKernel:
     count: int
-    representatives: tuple[tuple[int, int], ...]  # first (e, j) per distinct content
 
 
-def brute_force_kernel(
-    window: Window,
-    ell: int,
-    e_max: int,
-    min_length: int = 4,
-) -> BruteForceKernel:
+def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel:
     """Count distinct subsequences (u_{ell^e n + j}), e <= e_max, inside a window.
 
     Every subsequence is sampled over the same centered index range so the
-    contents are comparable; the range must keep at least ``min_length``
+    contents are comparable; the range must keep at least ``MIN_LENGTH``
     entries at depth ``e_max``.
     """
     step_max = ell**e_max
@@ -129,42 +119,33 @@ def brute_force_kernel(
     if two_sided:
         reach = min(-window.lo, window.hi + 1)
         radius = reach // step_max
-        if radius < min_length:
+        if radius < MIN_LENGTH:
             raise WindowTooShort(
-                f"window supports radius {radius} at depth {e_max}, need {min_length}"
+                f"window supports radius {radius} at depth {e_max}, need {MIN_LENGTH}"
             )
         sample_range = range(-radius, radius)
     else:
         count = (window.hi + 1) // step_max
-        if count < min_length:
+        if count < MIN_LENGTH:
             raise WindowTooShort(
-                f"window supports {count} entries at depth {e_max}, need {min_length}"
+                f"window supports {count} entries at depth {e_max}, need {MIN_LENGTH}"
             )
         sample_range = range(0, count)
 
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
+    seen: set[tuple[int, ...]] = set()
     for e in range(e_max + 1):
         step = ell**e
         for j in range(step):
-            content = tuple(window[step * n + j] for n in sample_range)
-            seen.setdefault(content, (e, j))
-    reps = tuple(sorted(seen.values()))
-    return BruteForceKernel(count=len(seen), representatives=reps)
+            seen.add(tuple(window[step * n + j] for n in sample_range))
+    return BruteForceKernel(count=len(seen))
 
 
-def brute_force_kernel_for(
-    sub: Substitution,
-    e_max: int,
-    side: str = TWO_SIDED,
-    min_length: int = 4,
-    budget: int | None = None,
-) -> BruteForceKernel:
+def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED) -> BruteForceKernel:
     """Convenience wrapper: expand a window large enough for the given depth."""
-    step = sub.length**e_max
-    span = step * max(min_length, 8)
+    span = sub.length**e_max * 8
     if side == ONE_SIDED:
-        window = window_for_range(sub, 0, span, budget=budget)
+        window = window_for_range(sub, 0, span)
         window = Window(window.alphabet, 0, window.hi, window.letters[-window.lo :])
     else:
-        window = window_for_range(sub, -span, span, budget=budget)
-    return brute_force_kernel(window, sub.length, e_max, min_length=min_length)
+        window = window_for_range(sub, -span, span)
+    return brute_force_kernel(window, sub.length, e_max)

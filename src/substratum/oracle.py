@@ -60,7 +60,7 @@ class Window:
         return line
 
 
-def expand(sub: Substitution, generations: int, budget: int | None = None) -> Window:
+def expand(sub: Substitution, generations: int) -> Window:
     """Window covering at least [-ell^g, ell^g - 1], by substituting the seed.
 
     When the seed letters are merely periodic (not fixed) under the end
@@ -79,20 +79,20 @@ def expand(sub: Substitution, generations: int, budget: int | None = None) -> Wi
     g = generations
     if g % p:
         g += p - g % p
-    limit = word_budget(budget)
+    limit = word_budget()
     if sub.length**g > limit:
         raise Overflow(f"window of length 2*{sub.length}^{g} exceeds budget {limit}")
     left = sub._substitute(a_l, g, limit)
     return Window(sub.alphabet, -len(left), len(left) - 1, left + sub._substitute(a_r, g, limit))
 
 
-def window_for_range(sub: Substitution, lo: int, hi: int, budget: int | None = None) -> Window:
+def window_for_range(sub: Substitution, lo: int, hi: int) -> Window:
     """Smallest expand() window containing [lo, hi]."""
     need = max(abs(lo), abs(hi) + 1, sub.length)
     g = 1
     while sub.length**g < need:
         g += 1
-    return expand(sub, g, budget=budget)
+    return expand(sub, g)
 
 
 def sample_progression(

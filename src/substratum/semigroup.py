@@ -29,7 +29,6 @@ class SemigroupClosure:
 
     generators: tuple[ColumnMap, ...]
     elements: tuple[ColumnMap, ...]
-    contains_id: bool
     min_rank: int
 
 
@@ -51,7 +50,6 @@ def closure(generators) -> SemigroupClosure:
     return SemigroupClosure(
         generators=gens,
         elements=tuple(ColumnMap(alphabet, t) for t in tables),
-        contains_id=identity in tables,
         min_rank=min(len(set(t)) for t in tables),
     )
 

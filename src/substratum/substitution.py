@@ -28,10 +28,12 @@ DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV = "SUBSTRATUM_BUDGET"
 
 
-def word_budget(budget: int | None = None) -> int:
-    """Resolve the size budget: explicit arg, then env override, then default."""
-    if budget is not None:
-        return budget
+def word_budget() -> int:
+    """The one size budget: ``SUBSTRATUM_BUDGET`` if set, else 10**6.
+
+    It caps expanded word lengths, automaton state counts and closure sizes;
+    every construction reads it at the call, so a changed setting applies.
+    """
     raw = os.environ.get(BUDGET_ENV)
     if raw:
         try:
@@ -245,9 +247,9 @@ class Substitution:
     def columns(self) -> tuple[ColumnMap, ...]:
         return tuple(self.column(i) for i in range(self.length))
 
-    def apply(self, word, budget: int | None = None) -> tuple[int, ...]:
+    def apply(self, word) -> tuple[int, ...]:
         """One substitution step on an ordinal word."""
-        limit = word_budget(budget)
+        limit = word_budget()
         if len(word) * self.length > limit:
             raise Overflow(f"substituted word would exceed budget {limit}")
         out: list[int] = []
@@ -255,25 +257,25 @@ class Substitution:
             out.extend(self.rules[o])
         return tuple(out)
 
-    def power(self, n: int, budget: int | None = None) -> "Substitution":
+    def power(self, n: int) -> "Substitution":
         """The substitution theta^n, of length ell^n; the seed carries over."""
         if n < 1:
             raise DigitOutOfRange(f"power exponent must be >= 1, got {n}")
-        limit = word_budget(budget)
+        limit = word_budget()
         if self.length**n > limit:
             raise Overflow(f"length {self.length}^{n} exceeds budget {limit}")
         rules = []
         for a in range(len(self.alphabet)):
             word = (a,)
             for _ in range(n):
-                word = self.apply(word, budget=limit)
+                word = self.apply(word)
             rules.append(word)
         return Substitution(self.alphabet, self.length**n, tuple(rules), self.seed)
 
     def is_simplified(self) -> bool:
         return self.column(0).is_idempotent() and self.column(self.length - 1).is_idempotent()
 
-    def simplify(self, budget: int | None = None) -> tuple["Substitution", int]:
+    def simplify(self) -> tuple["Substitution", int]:
         """Least power whose first and last columns are idempotent.
 
         The exponent is read off the functional graphs of the end columns,
@@ -287,7 +289,7 @@ class Substitution:
         n = cycles * ((height + cycles - 1) // cycles)
         if n == 1:
             return self, 1
-        return self.power(n, budget=budget), n
+        return self.power(n), n
 
     # -- seed and fixed point -----------------------------------------
 
@@ -314,18 +316,18 @@ class Substitution:
         p_r, p_l = self.seed_periods()
         return math.lcm(p_r, p_l)
 
-    def fixed_point_window(self, lo: int, hi: int, budget: int | None = None) -> tuple[str, ...]:
+    def fixed_point_window(self, lo: int, hi: int) -> tuple[str, ...]:
         """Letters u_lo .. u_hi of the two-sided fixed point, as symbols."""
-        word = self._window_ords(lo, hi, budget)
+        word = self._window_ords(lo, hi)
         return tuple(self.alphabet[o] for o in word)
 
-    def _window_ords(self, lo: int, hi: int, budget: int | None = None) -> tuple[int, ...]:
+    def _window_ords(self, lo: int, hi: int) -> tuple[int, ...]:
         """Ordinals u_lo .. u_hi; each side is expanded only when the window
         reaches it, in multiples of its own seed period."""
         if lo > hi:
             raise DigitOutOfRange(f"empty window {lo}..{hi}")
         a_l, a_r = self.require_seed()
-        limit = word_budget(budget)
+        limit = word_budget()
         p_r, p_l = self.seed_periods()
         word: tuple[int, ...] = ()
         if lo < 0:
@@ -391,52 +393,37 @@ class Substitution:
             reach = [frozenset().union(*(occ[b] for b in row)) for row in reach]
         return all(len(row) == size for row in reach)
 
-    def height(self, budget: int | None = None) -> int:
-        """Largest divisor, coprime to ell, of the gcd of return times of u_0.
+    def height(self) -> int:
+        """Dekking's height: the largest n coprime to ell dividing every k >= 0
+        with u_k = u_0, read exactly off the direct machine.
 
-        The gcd is taken over a window that provably contains several returns
-        (primitivity keeps gaps bounded) and re-checked on a doubled window.
+        Dekking (1978) bounds it by |A|, so only n <= |A| are tried.  For each,
+        a search from a_r over (letter, k mod n, word length mod p_r) reads
+        every digit word, most significant digit first; words whose length is
+        a multiple of p_r spell every k >= 0 and lead to u_k.  n fails when
+        such a word reaches a_r with k mod n != 0.
         """
         _, a_r = self.require_seed()
         if not self.is_primitive():
             raise BadSeed("height is defined for primitive substitutions")
-        limit = word_budget(budget)
+        p_r = self.seed_periods()[0]
 
-        def returns_gcd(word) -> int:
-            g = 0
-            for pos in range(1, len(word)):
-                if word[pos] == word[0]:
-                    g = math.gcd(g, pos)
-            return g
+        def passes(n: int) -> bool:
+            seen = {(a_r, 0, 0)}
+            stack = [(a_r, 0, 0)]
+            while stack:
+                letter, k, phase = stack.pop()
+                if letter == a_r and k and not phase:
+                    return False
+                for d, image in enumerate(self.rules[letter]):
+                    child = (image, (k * self.length + d) % n, (phase + 1) % p_r)
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+            return True
 
-        p_r = self.column(0).cycle_length(a_r) or 1
-        word: tuple[int, ...] = (a_r,)
-        min_size = 2 * self.length * len(self.alphabet)
-        g = 0
-        while True:
-            for _ in range(p_r):
-                word = self.apply(word, budget=limit)
-            if len(word) < min_size:
-                continue
-            g_now = returns_gcd(word)
-            if g_now and g_now == g:
-                break  # stable across one doubling
-            g = g_now
-        h = g
-        while (d := math.gcd(h, self.length)) > 1:
-            h //= d
-        return max(h, 1)
-
-    def is_aperiodic_heuristic(self, budget: int | None = None) -> bool:
-        """Window check: no period up to ell^2 in a window of length 4*ell^3.
-
-        Heuristic only; reported, never silently trusted.
-        """
-        size = 4 * self.length**3
-        word = self._window_ords(0, size - 1, budget)
-        return not any(
-            word[: size - period] == word[period:] for period in range(1, self.length**2 + 1)
-        )
+        candidates = range(len(self.alphabet), 0, -1)
+        return next(n for n in candidates if math.gcd(n, self.length) == 1 and passes(n))
 
     def __str__(self) -> str:
         parts = [
@@ -444,13 +431,3 @@ class Substitution:
             for a, rule in enumerate(self.rules)
         ]
         return ", ".join(parts)
-
-
-def validate(
-    letters,
-    length: int,
-    rules: dict,
-    seed=None,
-) -> Substitution:
-    """Construct a substitution, raising a typed error naming the violated invariant."""
-    return Substitution.from_parts(letters, length, rules, seed)

@@ -7,12 +7,13 @@ along its ell-adic digit stream eventually reaches a constant state (constant
 states absorb, so "eventually" is decidable: after the canonical digits only
 the sign's tail digit repeats, and the tail walk cycles).  The reduced graph
 is that machine minus its constant states; infinite digit streams surviving
-inside it spell the aperiodic addresses.
+inside it spell the aperiodic addresses, and the fixed point is aperiodic
+exactly when the part of it reachable from the identity has a cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,9 @@ from .substitution import ColumnMap, Substitution
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
+CERTIFY_DEPTH = 6  # an aperiodic verdict is certified at every step ell^k, k <= 6
+MAX_CYCLE_LENGTH = 12  # the reduced graph lists simple cycles of at most 12 edges,
+MAX_CYCLES = 500  # and at most 500 of them
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,10 @@ class ToeplitzGate:
     """The machine every verdict walks, for an admitted substitution.
 
     ``constant[s]`` marks the states of ``machine`` whose column map has a
-    one-letter image.
+    one-letter image; ``aperiodic`` tells whether the fixed point is.
     """
 
-    aperiodic_heuristic: bool
+    aperiodic: bool
     machine: SemigroupAutomaton
     constant: tuple[bool, ...]
 
@@ -61,7 +65,9 @@ def gate(sub: Substitution) -> ToeplitzGate:
 
     The column number is the least image size over the machine's states: they
     are the identity plus every product of columns, and the identity has the
-    largest image.
+    largest image.  The fixed point is aperiodic exactly when the live part of
+    the machine has a cycle (see :func:`_live_part_has_cycle`).  No window
+    is expanded.
     """
     if not sub.is_primitive():
         raise NotToeplitz("the decision procedure needs a primitive substitution")
@@ -74,11 +80,43 @@ def gate(sub: Substitution) -> ToeplitzGate:
     c = min(sizes)
     if c != 1:
         raise NotToeplitz(f"column number {c} != 1: the shift is not Toeplitz")
+    constant = tuple(size == 1 for size in sizes)
     return ToeplitzGate(
-        aperiodic_heuristic=sub.is_aperiodic_heuristic(),
+        aperiodic=_live_part_has_cycle(machine.dfao.delta, constant),
         machine=machine,
-        constant=tuple(size == 1 for size in sizes),
+        constant=constant,
     )
+
+
+def _live_part_has_cycle(delta, constant) -> bool:
+    """Whether the non-constant states reachable from the identity (state 0)
+    through non-constant states carry a cycle.
+
+    Without one, every digit stream reaches a constant state within K steps,
+    so u_n depends on n mod ell^K alone.  A cycle leaves, at every level k, a
+    residue class mod ell^k on which u is not constant (every letter occurs),
+    so no ell^k is a period; nor is any P = ell^a q: every class mod ell^a
+    holds an index n reaching a constant state at some level k >= a (a
+    coincidence follows any state), u is constant on n + ell^k Z and, with
+    period P, on n + ell^a Z, so ell^a would be a period.
+    """
+    live = [] if constant[0] else [0]
+    seen = set(live)
+    for s in live:  # the list grows behind the cursor, like a queue
+        for t in delta[s]:
+            if not constant[t] and t not in seen:
+                seen.add(t)
+                live.append(t)
+    # peel the states no unpeeled live state leads to; a cycle is what remains
+    indegree = Counter(t for s in live for t in delta[s] if not constant[t])
+    peeled = [s for s in live if not indegree[s]]
+    for s in peeled:  # grows behind the cursor too
+        for t in delta[s]:
+            if not constant[t]:
+                indegree[t] -= 1
+                if not indegree[t]:
+                    peeled.append(t)
+    return len(peeled) < len(live)
 
 
 def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
@@ -126,7 +164,6 @@ class RangeReport:
     hi: int
     verdicts: tuple[PeriodicityVerdict, ...]
     aperiodic: tuple[int, ...]
-    aperiodic_heuristic: bool
     certified: bool
     inconsistencies: tuple[str, ...]
 
@@ -135,22 +172,15 @@ class RangeReport:
         return f"Aper ∩ [{self.lo},{self.hi}] = {{{inner}}}"
 
 
-def aperiodic_in_range(
-    sub: Substitution,
-    lo: int,
-    hi: int,
-    certify: bool = False,
-    certify_depth: int = 6,
-    budget: int | None = None,
-) -> RangeReport:
+def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = False) -> RangeReport:
     """Run decide_per on every index in [lo, hi].
 
     With ``certify`` the verdicts are cross-checked against windowed
     progressions: a periodic index must show a single letter at its step
     within a window of length >= ell^(k+3); an aperiodic one must show two
-    letters at every step ell^k up to the certification depth.
+    letters at every step ell^k, k <= ``CERTIFY_DEPTH``.
     """
-    g = gate(sub)
+    gate(sub)  # refuses before any verdict
     verdicts = tuple(decide_per(sub, n) for n in range(lo, hi + 1))
     aperiodic = tuple(v.index for v in verdicts if not v.is_periodic())
     # the two statuses partition the range by construction; assert anyway
@@ -159,11 +189,11 @@ def aperiodic_in_range(
     inconsistencies: list[str] = []
     if certify:
         max_expo = max((v.exponent for v in verdicts if v.is_periodic()), default=0)
-        max_expo = max(max_expo, certify_depth)
+        max_expo = max(max_expo, CERTIFY_DEPTH)
         gens = max_expo + 3  # window length 2*ell^gens >= ell^(k+3) for every verdict
         while sub.length**gens < max(abs(lo), abs(hi) + 1):
             gens += 1
-        window = expand(sub, gens, budget=budget)
+        window = expand(sub, gens)
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
         periodic_terms = 2 * sub.length**3
@@ -175,7 +205,7 @@ def aperiodic_in_range(
                         f"index {v.index}: claimed constant {v.letter} at step {v.period}, saw {sorted(seen)}"
                     )
             else:
-                for k in range(certify_depth + 1):
+                for k in range(CERTIFY_DEPTH + 1):
                     seen = sample_progression(window, v.index, sub.length**k, stop_at=2)
                     if len(seen) < 2:
                         inconsistencies.append(
@@ -186,7 +216,6 @@ def aperiodic_in_range(
         hi=hi,
         verdicts=verdicts,
         aperiodic=aperiodic,
-        aperiodic_heuristic=g.aperiodic_heuristic,
         certified=certify,
         inconsistencies=tuple(inconsistencies),
     )
@@ -238,13 +267,10 @@ class ReducedGraph:
         return "\n".join(lines) + "\n"
 
 
-def reduced_graph(
-    sub: Substitution,
-    cycle_length_budget: int = 12,
-    cycle_count_budget: int = 500,
-) -> ReducedGraph:
+def reduced_graph(sub: Substitution) -> ReducedGraph:
     """Delete all 1-vertices (constant-map states) of the gate's machine and
-    the edges leading to them."""
+    the edges leading to them; list its simple cycles of at most
+    ``MAX_CYCLE_LENGTH`` edges, at most ``MAX_CYCLES`` of them."""
     g = gate(sub)
     machine = g.machine
     dfao = machine.dfao
@@ -260,7 +286,7 @@ def reduced_graph(
     for s, d, t in edges:
         adjacency[s].append((d, t))
 
-    cycles = _labelled_cycles(keep, adjacency, cycle_length_budget, cycle_count_budget)
+    cycles = _labelled_cycles(keep, adjacency, MAX_CYCLE_LENGTH, MAX_CYCLES)
     reachable_prefix = _shortest_paths(dfao.initial_nonneg, keep_set, adjacency)
     infos = []
     for start, digit_seq in cycles:

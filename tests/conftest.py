@@ -82,3 +82,31 @@ def random_inputs():
 def fixtures(pd, pd2, bigdiag, thue_morse, constant_sub, periodic_right_seed, height_two, six_letter):
     """Every seeded example above."""
     return [pd, pd2, bigdiag, thue_morse, constant_sub, periodic_right_seed, height_two, six_letter]
+
+
+@pytest.fixture(scope="session")
+def late_return():
+    """u_0 = c returns at 6, 12, 24, 48 and 54, then at 94: the return times
+    have gcd 2, and ell = 2, so the height is 1."""
+    return Substitution.from_parts(
+        list("abcdef"),
+        2,
+        {"a": "ad", "b": "cd", "c": "ce", "d": "af", "e": "ab", "f": "fe"},
+        seed=["d", "c"],
+    )
+
+
+@pytest.fixture(scope="session")
+def periodic_coincidence():
+    """Four admitted inputs whose fixed points are periodic, each with its
+    least period: ell^4, ell^3, ell^3 and ell^4."""
+
+    def parts(letters, length, rules, seed):
+        return Substitution.from_parts(list(letters), length, rules, seed=list(seed))
+
+    return [
+        (parts("abcde", 2, {"a": "dc", "b": "dc", "c": "ec", "d": "ea", "e": "eb"}, "ce"), 16),
+        (parts("abcd", 2, {"a": "dc", "b": "ba", "c": "bc", "d": "ba"}, "cb"), 8),
+        (parts("abcd", 2, {"a": "da", "b": "da", "c": "ca", "d": "cb"}, "ac"), 8),
+        (parts("abcde", 3, {"a": "bce", "b": "bdd", "c": "ade", "d": "aed", "e": "aed"}, "db"), 81),
+    ]

@@ -114,7 +114,7 @@ def test_criterion_5_aperiodic_set_of_period_doubling(pd2):
 
 def test_criterion_6_verdicts_vs_oracle(bigdiag):
     with budgeted("6 bigdiag verdicts vs oracle on ±500", 30.0):
-        report = aperiodic_in_range(bigdiag, -500, 500, certify=True, certify_depth=6)
+        report = aperiodic_in_range(bigdiag, -500, 500, certify=True)
         assert report.certified
         assert report.inconsistencies == ()
         statuses = {v.index: v.is_periodic() for v in report.verdicts}

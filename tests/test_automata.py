@@ -150,8 +150,10 @@ def test_reverse_semigroup_labels_cover_generated_monoid(bigdiag):
 
 
 def test_reverse_state_budget(bigdiag, monkeypatch):
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "5")
     with pytest.raises(StateExplosion):
-        build_reverse_semigroup(bigdiag, budget=5)
+        build_reverse_semigroup(bigdiag)
+    monkeypatch.delenv("SUBSTRATUM_BUDGET")
     build_reverse_semigroup(bigdiag)
     # the shared machine is kept per budget, so a lower budget still applies
     monkeypatch.setenv("SUBSTRATUM_BUDGET", "5")
@@ -384,24 +386,31 @@ def test_equivalent_detects_flipped_output(pd2):
         assert dfao.run(result.witness) != flipped.run(result.witness)
 
 
-def test_equivalent_detects_flipped_negative_output(bigdiag):
-    dfao = build_direct(bigdiag)
-    flipped = Dfao(
-        ell=dfao.ell,
-        labels=dfao.labels,
-        delta=dfao.delta,
-        initial_nonneg=dfao.initial_nonneg,
-        initial_neg=dfao.initial_neg,
-        out_alphabet=dfao.out_alphabet,
-        out_nonneg=dfao.out_nonneg,
-        out_neg=tuple((o + 1) % 3 if s == 2 else o for s, o in enumerate(dfao.out_neg)),
-        reading=dfao.reading,
-        pad_nonneg=dfao.pad_nonneg,
-        pad_neg=dfao.pad_neg,
-    )
-    result = equivalent(dfao, flipped)
-    assert not result.equal and result.witness < 0
-    assert dfao.run(result.witness) != flipped.run(result.witness)
+def test_equivalent_detects_flipped_negative_output(bigdiag, periodic_right_seed):
+    # both machines are direct, so both are reversed; the second is padded
+    assert build_direct(periodic_right_seed).pad_nonneg == 2
+    for sub, state in ((bigdiag, 2), (periodic_right_seed, 0)):
+        dfao = build_direct(sub)
+        size = len(dfao.out_alphabet)
+        flipped = Dfao(
+            ell=dfao.ell,
+            labels=dfao.labels,
+            delta=dfao.delta,
+            initial_nonneg=dfao.initial_nonneg,
+            initial_neg=dfao.initial_neg,
+            out_alphabet=dfao.out_alphabet,
+            out_nonneg=dfao.out_nonneg,
+            out_neg=tuple(
+                (o + 1) % size if s == state else o for s, o in enumerate(dfao.out_neg)
+            ),
+            reading=dfao.reading,
+            pad_nonneg=dfao.pad_nonneg,
+            pad_neg=dfao.pad_neg,
+        )
+        result = equivalent(dfao, flipped)
+        assert not result.equal and result.witness < 0
+        assert dfao.run(result.witness) != flipped.run(result.witness)
+        assert equivalent(dfao, replace(dfao, labels=tuple(reversed(dfao.labels)))).equal
 
 
 def test_equivalent_across_readings_is_exact(pd, pd2, bigdiag):

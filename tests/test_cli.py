@@ -17,7 +17,7 @@ PD2 = {"alphabet": ["a", "b"], "length": 4, "rules": {"a": "abaa", "b": "abab"},
 PERIODIC_RIGHT_SEED = {"alphabet": ["a", "b"], "length": 2, "rules": {"a": "bb", "b": "ab"}, "seed": ["b", "a"]}
 
 BIGDIAG_TOEPLITZ_20 = """\
-aperiodicity heuristic: aperiodic
+fixed point: aperiodic
    -20  aperiodic  states=((a,c,c)^T, (c,a,a)^T)
    -19  aperiodic  states=((a,b,b)^T, (b,a,a)^T)
    -18  aperiodic  states=((b,a,a)^T, (a,b,b)^T)

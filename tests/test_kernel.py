@@ -50,7 +50,7 @@ def test_bigdiag_kernel_size(bigdiag):
     assert len(enumerate_kernel(bigdiag)) == 45
 
 
-def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag):
+def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag, monkeypatch):
     # samples are machine runs, so deep witnesses (e up to 10 here) need no
     # expanded fixed point and a budget just above the state count suffices
     elements = enumerate_kernel(six_letter)
@@ -62,7 +62,8 @@ def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag):
             indices = [el.j + n * sub.length**el.e for n in range(16)]
             assert el.sample == tuple(direct.run(i) for i in indices)
             assert el.sample == tuple(minimal.run(i) for i in indices)
-    assert len(enumerate_kernel(bigdiag, budget=2000)) == 45
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "2000")
+    assert len(enumerate_kernel(bigdiag)) == 45
 
 
 def test_eilenberg_equality(pd, pd2, bigdiag, thue_morse):

@@ -137,8 +137,8 @@ def _expand_by_steps(sub, generations):
         return f"window of length 2*{sub.length}^{g} exceeds budget {limit}"
     left, right = (a_l,), (a_r,)
     for _ in range(g):
-        left = sub.apply(left, budget=limit)
-        right = sub.apply(right, budget=limit)
+        left = sub.apply(left)
+        right = sub.apply(right)
     return -len(left), len(right) - 1, left + right
 
 

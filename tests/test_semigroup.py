@@ -15,7 +15,7 @@ def test_closure_period_doubling_columns(pd):
     cl = closure(pd.columns())
     # swapping column squares to the identity, which then breeds (b,b)
     assert vectors(cl.elements) == {"(a,a)^T", "(b,a)^T", "(a,b)^T", "(b,b)^T"}
-    assert cl.contains_id
+    assert ColumnMap.identity(pd.alphabet) in cl.elements
     assert cl.min_rank == 1
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from substratum import (
@@ -10,35 +12,36 @@ from substratum import (
     UnknownLetter,
     build_direct,
     closure,
-    validate,
 )
 
 
 def test_validate_period_doubling():
-    sub = validate(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "a"])
+    sub = Substitution.from_parts(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "a"])
     assert sub.length == 2
     assert sub.alphabet.letters == ("a", "b")
 
 
 def test_validate_rule_length_mismatch():
     with pytest.raises(RuleLengthMismatch):
-        validate(["a", "b"], 2, {"a": "ab", "b": "a"})
+        Substitution.from_parts(["a", "b"], 2, {"a": "ab", "b": "a"})
 
 
 def test_validate_unknown_letter():
     with pytest.raises(UnknownLetter):
-        validate(["a", "b"], 2, {"a": "ab", "b": "ax"})
+        Substitution.from_parts(["a", "b"], 2, {"a": "ab", "b": "ax"})
 
 
 def test_validate_bigdiag_seed_accepted():
-    sub = validate(["a", "b", "c"], 3, {"a": "acb", "b": "baa", "c": "bba"}, seed=["b", "a"])
+    sub = Substitution.from_parts(
+        ["a", "b", "c"], 3, {"a": "acb", "b": "baa", "c": "bba"}, seed=["b", "a"]
+    )
     assert sub.seed_periods() == (1, 2)
 
 
 def test_validate_bad_seed():
     # b is not periodic under the first column of period-doubling
     with pytest.raises(BadSeed):
-        validate(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "b"])
+        Substitution.from_parts(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "b"])
 
 
 def test_columns_period_doubling(pd):
@@ -165,6 +168,30 @@ def test_height_two(height_two):
     assert height_two.height() == 2
 
 
+def _height_by_returns(sub):
+    """The largest divisor, coprime to ell, of the gcd of return times of u_0
+    over a window of at least 20000 letters: the oracle for height()."""
+    word = sub.fixed_point_window(0, 20000)
+    g = 0
+    for k, letter in enumerate(word):
+        if letter == word[0]:
+            g = math.gcd(g, k)
+    while (d := math.gcd(g, sub.length)) > 1:
+        g //= d
+    return g
+
+
+def test_height_is_exact(fixtures, random_inputs, late_return):
+    # the return-time gcd is 6 up to u_54, so a short window suggests height 3
+    assert late_return.height() == 1 == _height_by_returns(late_return)
+    heights = set()
+    for sub in fixtures + random_inputs:
+        if sub.is_primitive():
+            assert sub.height() == _height_by_returns(sub), str(sub)
+            heights.add(sub.height())
+    assert heights == {1, 2}
+
+
 def test_column_number(pd, bigdiag, thue_morse):
     # the column number is the least image size over the closure of the columns
     assert closure(pd.columns()).min_rank == 1
@@ -176,12 +203,6 @@ def test_column_number_power_invariant(pd, bigdiag, thue_morse):
     for sub, expected in ((pd, 1), (bigdiag, 1), (thue_morse, 2)):
         for k in range(1, 7):
             assert closure(sub.power(k).columns()).min_rank == expected
-
-
-def test_aperiodicity_heuristic(pd2, bigdiag, height_two):
-    assert pd2.is_aperiodic_heuristic()
-    assert bigdiag.is_aperiodic_heuristic()
-    assert not height_two.is_aperiodic_heuristic()
 
 
 def test_column_map_composition_order(pd):
@@ -204,7 +225,7 @@ def test_occurring_letters(bigdiag, constant_sub):
 
 
 def test_multicharacter_letters_use_array_rules():
-    sub = validate(
+    sub = Substitution.from_parts(
         ["lo", "hi"],
         2,
         {"lo": ["lo", "hi"], "hi": ["lo", "lo"]},
@@ -216,7 +237,7 @@ def test_multicharacter_letters_use_array_rules():
 
 def test_seed_letter_must_exist():
     with pytest.raises(UnknownLetter):
-        validate(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "z"])
+        Substitution.from_parts(["a", "b"], 2, {"a": "ab", "b": "aa"}, seed=["a", "z"])
 
 
 def test_budget_env_override(pd, monkeypatch):
@@ -225,25 +246,6 @@ def test_budget_env_override(pd, monkeypatch):
         pd.power(4)
     monkeypatch.setenv("SUBSTRATUM_BUDGET", "1000000")
     assert pd.power(4).length == 16
-
-
-def _aperiodic_by_index(sub):
-    """The per-index period loop that is_aperiodic_heuristic must match."""
-    size = 4 * sub.length**3
-    word = sub.fixed_point_window(0, size - 1)
-    for period in range(1, sub.length**2 + 1):
-        if all(word[i] == word[i + period] for i in range(size - period)):
-            return False
-    return True
-
-
-def test_aperiodicity_heuristic_matches_the_index_loop(fixtures, random_inputs):
-    verdicts = set()
-    for sub in fixtures + random_inputs:
-        verdict = sub.is_aperiodic_heuristic()
-        assert verdict == _aperiodic_by_index(sub), str(sub)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
 
 
 def test_window_sides_grow_by_their_own_seed_period():
@@ -259,4 +261,3 @@ def test_window_sides_grow_by_their_own_seed_period():
     direct = build_direct(sub)
     assert sub.fixed_point_window(0, 255) == direct.run_range(0, 255)
     assert sub.fixed_point_window(-300, -1) == direct.run_range(-300, -1)
-    assert sub.is_aperiodic_heuristic()

@@ -12,6 +12,7 @@ from substratum import (
     decide_per,
     reduced_graph,
     to_digits,
+    window_for_range,
 )
 from substratum.toeplitz import _labelled_cycles, gate
 
@@ -59,7 +60,7 @@ def test_aperiodic_in_range_pd2(pd2):
     report = aperiodic_in_range(pd2, -100, 100, certify=True)
     assert report.aperiodic == (-1,)
     assert report.inconsistencies == ()
-    assert report.aperiodic_heuristic
+    assert gate(pd2).aperiodic
     assert report.summary() == "Aper ∩ [-100,100] = {-1}"
 
 
@@ -112,10 +113,43 @@ def test_reduced_graph_walks_the_gate_machine(pd, pd2, bigdiag):
         assert reduced_graph(sub).machine is gate(sub).machine
 
 
-def test_periodic_right_seed_verdicts_certify(periodic_right_seed):
-    # the reverse machine carries a word-length phase on the right side here
-    report = aperiodic_in_range(periodic_right_seed, -200, 200, certify=True)
-    assert report.inconsistencies == ()
+def test_periodic_right_seed_verdicts_certify(periodic_right_seed, late_return):
+    # the reverse machines carry a word-length phase, on the right side for
+    # the first and on the left for the second, which has height 1
+    for sub in (periodic_right_seed, late_return):
+        report = aperiodic_in_range(sub, -200, 200, certify=True)
+        assert report.inconsistencies == ()
+
+
+def test_gate_finds_aperiodic_fixed_points(pd, pd2, bigdiag, periodic_right_seed, late_return):
+    for sub in (pd, pd2, bigdiag, periodic_right_seed, late_return):
+        assert gate(sub).aperiodic
+
+
+def least_period(letters):
+    return next(p for p in range(1, len(letters)) if letters[p:] == letters[:-p])
+
+
+def test_gate_finds_periodic_fixed_points(periodic_coincidence):
+    for sub, period in periodic_coincidence:
+        assert not gate(sub).aperiodic
+        assert reduced_graph(sub).cycles == ()
+        letters = window_for_range(sub, -4096, 4096).letters
+        assert least_period(letters) == period
+
+
+def test_gate_aperiodicity_agrees_with_the_oracle(random_inputs):
+    verdicts = set()
+    for sub in random_inputs:
+        try:
+            aperiodic = gate(sub).aperiodic
+            letters = bytes(sub._window_ords(-20000, 20000))
+        except SubstratumError:
+            continue
+        periodic_window = any(letters[p:] == letters[:-p] for p in range(1, len(letters) // 8))
+        assert aperiodic != periodic_window, str(sub)
+        verdicts.add(aperiodic)
+    assert verdicts == {True, False}
 
 
 def test_reduced_graph_pd_original_spells_minus_one(pd):
@@ -194,7 +228,9 @@ def admitted_random_substitutions(seed, count, max_states=128):
             a_l, a_r = rules[a_l][-1], rules[a_r][0]
         sub = Substitution.from_parts(list(letters), length, rules, seed=[a_l, a_r])
         try:
-            build_reverse_semigroup(sub, budget=max_states)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("SUBSTRATUM_BUDGET", str(max_states))
+                build_reverse_semigroup(sub)
             gate(sub)
         except SubstratumError:
             continue
