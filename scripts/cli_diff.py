@@ -4,6 +4,8 @@
     python scripts/cli_diff.py compare OLD.jsonl NEW.jsonl
 
 ``dump`` runs ``toeplitz --range=-200..200`` (plain and ``--certify``),
+``toeplitz --certify --range=-5000..-4600`` (a range whose residue classes
+do not start at 0),
 ``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
 one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 --range=-300..300``, ``automaton --reading direct|reverse --minimize --format
@@ -31,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VERBS = {
     "toeplitz": ["toeplitz", None, "--range=-200..200"],
     "toeplitz-certify": ["toeplitz", None, "--certify", "--range=-200..200"],
+    "toeplitz-certify-off": ["toeplitz", None, "--certify", "--range=-5000..-4600"],
     "rg-text": ["reduced-graph", None, "--format", "text"],
     "rg-dot": ["reduced-graph", None, "--format", "dot"],
     "semigroup": ["semigroup", None],

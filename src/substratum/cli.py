@@ -224,7 +224,8 @@ def cmd_check(args) -> int:
     window = window_for_range(sub, -span, span)
     direct = build_direct(sub)
     reverse = build_reverse_semigroup(sub)
-    expected = tuple(window.letter(n) for n in range(-span, span + 1))
+    letters = window.letters[-span - window.lo : span + 1 - window.lo]
+    expected = tuple(map(sub.alphabet.letters.__getitem__, letters))
     for name, machine in (("direct", direct), ("reverse", reverse.dfao)):
         got = machine.run_range(-span, span)
         bad = [n for n, a, b in zip(range(-span, span + 1), got, expected) if a != b]

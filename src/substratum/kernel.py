@@ -132,11 +132,13 @@ def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel
             )
         sample_range = range(0, count)
 
+    letters = window.letters
     seen: set[tuple[int, ...]] = set()
     for e in range(e_max + 1):
         step = ell**e
         for j in range(step):
-            seen.add(tuple(window[step * n + j] for n in sample_range))
+            first = step * sample_range.start + j - window.lo  # offset of the first term
+            seen.add(tuple(letters[first : first + step * len(sample_range) : step]))
     return BruteForceKernel(count=len(seen))
 
 

@@ -156,6 +156,51 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
     )
 
 
+def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdict, ...]:
+    """decide_per on every index of [lo, hi], one residue class at a time.
+
+    decide_per reads the ell-adic digits of n least significant first (for
+    negative n too: Python's ``%`` gives them), so its state after k digits
+    depends on n mod ell^k alone.  Level k of the residue tree holds the live
+    residues r mod ell^k, each with its state; child r + d*ell^k goes to
+    ``delta[s][d]``.  A residue reaching a constant state at level k gives
+    every index of its class the same verdict: exponent k, period ell^k and
+    the state's letter.  Once ell^(k+1) exceeds hi - lo a class holds at most
+    ell indices, and the indices still live take decide_per's own walk: a
+    level deeper, nearly every class holds one index, so it would cost a node
+    per index and spare few walks.  Every level reached has ell^k <= hi - lo,
+    so each of its classes holds an index.  The result equals
+    ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.
+    """
+    g = gate(sub)
+    ell = sub.length
+    delta, maps, constant = g.machine.dfao.delta, g.machine.state_maps, g.constant
+    letters = sub.alphabet.letters
+    verdicts: list = [None] * (hi - lo + 1)
+    level = [(0, 0)]  # (residue, state); level 0 is r = 0 at the identity
+    k, step = 0, 1
+    while True:
+        live = []
+        for r, s in level:
+            if constant[s]:
+                first = lo + (r - lo) % step  # the least index of the class in [lo, hi]
+                pos, neg = maps[s], maps[delta[s][ell - 1]]
+                letter = letters[pos.table[0]]
+                verdicts[first - lo :: step] = [
+                    PeriodicityVerdict(n, PERIODIC, k, step, letter, pos, neg)
+                    for n in range(first, hi + 1, step)
+                ]
+            else:
+                live.append((r, s))
+        if step * ell > hi - lo:
+            for r, _ in live:
+                for n in range(lo + (r - lo) % step, hi + 1, step):
+                    verdicts[n - lo] = decide_per(sub, n)
+            return tuple(verdicts)
+        level = [(r + d * step, t) for r, s in live for d, t in enumerate(delta[s])]
+        k, step = k + 1, step * ell
+
+
 @dataclass(frozen=True)
 class RangeReport:
     """decide_per over a range, with optional oracle cross-validation."""
@@ -173,16 +218,25 @@ class RangeReport:
 
 
 def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = False) -> RangeReport:
-    """Run decide_per on every index in [lo, hi].
+    """Classify every index in [lo, hi] as decide_per does, with optional certification.
+
+    The verdicts come from :func:`decide_range`, which walks the residue tree
+    instead of one digit stream per index.
 
     With ``certify`` the verdicts are cross-checked against windowed
     progressions: a periodic index must show a single letter at its step
     within a window of length >= ell^(k+3); an aperiodic one must show two
-    letters at every step ell^k, k <= ``CERTIFY_DEPTH``.
+    letters at every step ell^k, k <= ``CERTIFY_DEPTH``.  Periodic verdicts
+    are certified one class at a time: those sharing period P, residue mod P
+    and letter are checked by one strided slice of the window from
+    ``2*ell^3`` steps before the first to ``2*ell^3`` steps after the last,
+    which holds every term their samples would examine.  When the slice shows
+    only the claimed letter the whole class passes; otherwise each member is
+    sampled on its own, so the report, inconsistencies and their order
+    included, is the one the per-index samples give.
     """
-    gate(sub)  # refuses before any verdict
-    verdicts = tuple(decide_per(sub, n) for n in range(lo, hi + 1))
-    aperiodic = tuple(v.index for v in verdicts if not v.is_periodic())
+    verdicts = decide_range(sub, lo, hi)  # gates the substitution first
+    aperiodic = tuple(v.index for v in verdicts if v.status == APERIODIC)
     # the two statuses partition the range by construction; assert anyway
     assert len(verdicts) == hi - lo + 1
 
@@ -197,8 +251,11 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
         periodic_terms = 2 * sub.length**3
+        certified = _certified_classes(window, verdicts, periodic_terms)
         for v in verdicts:
             if v.is_periodic():
+                if (v.period, v.index % v.period, v.letter) in certified:
+                    continue
                 seen = sample_progression(window, v.index, v.period, max_terms=periodic_terms)
                 if seen != {v.letter}:
                     inconsistencies.append(
@@ -219,6 +276,31 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
         certified=certify,
         inconsistencies=tuple(inconsistencies),
     )
+
+
+def _certified_classes(window, verdicts, terms: int) -> set[tuple[int, int, str]]:
+    """The (period, residue, letter) classes of periodic verdicts that pass at once.
+
+    ``sample_progression(window, n, P, max_terms=terms)`` examines indices
+    n + i*P with -terms < i <= terms inside the window, so the strided slice
+    from ``terms`` steps before a class's first member to ``terms`` steps
+    after its last holds every term of every member's sample, and each
+    sample is a non-empty part of it.
+    """
+    classes: dict[tuple[int, int, str], list[int]] = {}
+    for v in verdicts:
+        if v.is_periodic():
+            classes.setdefault((v.period, v.index % v.period, v.letter), []).append(v.index)
+    ordinals = {letter: o for o, letter in enumerate(window.alphabet)}
+    passed = set()
+    for key, members in classes.items():
+        period, residue, letter = key
+        start = max(members[0] - terms * period, window.lo + (residue - window.lo) % period)
+        stop = min(members[-1] + terms * period, window.hi) + 1
+        terms_seen = window.letters[start - window.lo : stop - window.lo : period]
+        if terms_seen.count(ordinals.get(letter)) == len(terms_seen):
+            passed.add(key)
+    return passed
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import pytest
 
 from substratum import (
+    Overflow,
+    Window,
     WindowTooShort,
     brute_force_kernel,
     brute_force_kernel_for,
@@ -100,6 +102,30 @@ def test_brute_force_monotone_and_stabilizes(bigdiag):
 def test_brute_force_matches_enumeration(pd, pd2, thue_morse):
     for sub, depth in ((pd, 4), (pd2, 4), (thue_morse, 5)):
         assert brute_force_kernel_for(sub, depth).count == len(enumerate_kernel(sub))
+
+
+def per_index_brute_force_count(window, ell, e_max, sample_range):
+    """Distinct subsequences read one index at a time: the reference."""
+    steps = [ell**e for e in range(e_max + 1)]
+    return len({tuple(window[step * n + j] for n in sample_range) for step in steps for j in range(step)})
+
+
+def test_brute_force_counts_match_per_index_reads(random_inputs):
+    compared = 0
+    for sub in random_inputs:
+        for e_max in (1, 2, 3):
+            try:
+                window = expand(sub, e_max + 2)
+            except Overflow:
+                continue
+            radius = min(-window.lo, window.hi + 1) // sub.length**e_max
+            right = Window(window.alphabet, 0, window.hi, window.letters[-window.lo :])
+            count = (right.hi + 1) // sub.length**e_max
+            for w, sample_range in ((window, range(-radius, radius)), (right, range(count))):
+                expected = per_index_brute_force_count(w, sub.length, e_max, sample_range)
+                assert brute_force_kernel(w, sub.length, e_max).count == expected
+                compared += 1
+    assert compared > 300
 
 
 def test_brute_force_window_too_short(pd2):

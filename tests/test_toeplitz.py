@@ -1,20 +1,27 @@
 import random
+from array import array
+from dataclasses import replace
 
 import pytest
 
 from substratum import (
     NontrivialHeight,
     NotToeplitz,
+    Overflow,
     Substitution,
     SubstratumError,
+    Window,
     aperiodic_in_range,
     build_reverse_semigroup,
     decide_per,
+    expand,
     reduced_graph,
+    sample_progression,
     to_digits,
     window_for_range,
 )
-from substratum.toeplitz import _labelled_cycles, gate
+from substratum import toeplitz
+from substratum.toeplitz import CERTIFY_DEPTH, _labelled_cycles, decide_range, gate
 
 BIGDIAG_APERIODIC_50 = (
     -50, -49, -48, -47, -46, -42, -41, -40, -36, -35, -34, -33, -32, -31, -30,
@@ -272,3 +279,162 @@ def test_cycle_search_matches_unpruned_search_past_the_count_budget():
     adjacency = {v: [(d, t) for t in vertices for d in (0, 1)] for v in vertices}
     assert len(_labelled_cycles(vertices, adjacency, 12, 500)) == 500
     assert assert_cycle_search_unchanged(vertices, adjacency) > 0
+
+
+def per_index(sub, lo, hi):
+    return tuple(decide_per(sub, n) for n in range(lo, hi + 1))
+
+
+def power_ranges(ell, max_k=5):
+    """Ranges on both sides of +-ell^k +- 1, single indices, an empty range
+    and ranges lying wholly on one side of 0."""
+    ranges = [(0, 0), (-1, -1), (-1, 0), (-7, -1), (1, 9), (1, 0)]
+    for k in range(max_k + 1):
+        p = ell**k
+        ranges += [
+            (-p - 1, p + 1),
+            (-p + 1, p - 1),
+            (p - 1, p + 1),
+            (-p - 1, -p + 1),
+            (p, p),
+            (-p, -p),
+            (-p - 1, -1),
+            (1, p + 1),
+        ]
+    return ranges
+
+
+def test_decide_range_matches_decide_per_on_fixtures(
+    pd, pd2, bigdiag, periodic_right_seed, late_return, periodic_coincidence, constant_sub
+):
+    subs = [pd, pd2, bigdiag, periodic_right_seed, late_return, constant_sub]
+    subs += [sub for sub, _ in periodic_coincidence]
+    for sub in subs:
+        for lo, hi in power_ranges(sub.length):
+            assert decide_range(sub, lo, hi) == per_index(sub, lo, hi), (str(sub), lo, hi)
+
+
+def test_decide_range_matches_decide_per_on_random_inputs(random_inputs):
+    admitted = 0
+    for sub in random_inputs:
+        try:
+            gate(sub)
+        except SubstratumError:
+            continue
+        admitted += 1
+        for lo, hi in power_ranges(sub.length, max_k=3) + [(-200, 200)]:
+            assert decide_range(sub, lo, hi) == per_index(sub, lo, hi), (str(sub), lo, hi)
+    assert admitted >= 10
+
+
+def test_decide_range_on_a_far_range(bigdiag, pd):
+    # each residue class holds at most three indices once 3^(k+1) > 50, so the
+    # far indices take decide_per's walk; a descent that never stopped would not end
+    lo = 10**30
+    assert decide_range(bigdiag, lo, lo + 50) == per_index(bigdiag, lo, lo + 50)
+    assert decide_range(pd, -lo - 50, -lo) == per_index(pd, -lo - 50, -lo)
+
+
+def per_index_inconsistencies(sub, lo, hi, verdicts, expand=expand):
+    """The certification loop that samples every verdict on its own: the reference."""
+    max_expo = max((v.exponent for v in verdicts if v.is_periodic()), default=0)
+    max_expo = max(max_expo, CERTIFY_DEPTH)
+    gens = max_expo + 3
+    while sub.length**gens < max(abs(lo), abs(hi) + 1):
+        gens += 1
+    window = expand(sub, gens)
+    periodic_terms = 2 * sub.length**3
+    inconsistencies = []
+    for v in verdicts:
+        if v.is_periodic():
+            seen = sample_progression(window, v.index, v.period, max_terms=periodic_terms)
+            if seen != {v.letter}:
+                inconsistencies.append(
+                    f"index {v.index}: claimed constant {v.letter} at step {v.period}, saw {sorted(seen)}"
+                )
+        else:
+            for k in range(CERTIFY_DEPTH + 1):
+                seen = sample_progression(window, v.index, sub.length**k, stop_at=2)
+                if len(seen) < 2:
+                    inconsistencies.append(
+                        f"index {v.index}: claimed aperiodic but step {sub.length**k} shows only {sorted(seen)}"
+                    )
+    return inconsistencies
+
+
+def corrupted(sub, verdicts):
+    """Every fifth periodic verdict with its letter flipped, and every seventh
+    with a wrong period: one power of ell smaller, or one larger, or off by one."""
+    letters = sub.alphabet.letters
+    out = []
+    periodic = 0
+    for v in verdicts:
+        if v.is_periodic():
+            periodic += 1
+            if periodic % 5 == 0:
+                other = letters[(letters.index(v.letter) + 1) % len(letters)]
+                v = replace(v, letter=other)
+            elif periodic % 7 == 0:
+                choice = periodic // 7 % 3
+                if choice == 0 and v.exponent > 0:
+                    v = replace(v, period=v.period // sub.length)
+                elif choice == 1:
+                    v = replace(v, period=v.period * sub.length)
+                else:
+                    v = replace(v, period=v.period + 1)
+        out.append(v)
+    return tuple(out)
+
+
+def test_certification_reports_injected_inconsistencies(
+    monkeypatch, pd, pd2, bigdiag, periodic_right_seed, late_return, random_inputs
+):
+    real = toeplitz.decide_range
+    monkeypatch.setattr(toeplitz, "decide_range", lambda sub, lo, hi: corrupted(sub, real(sub, lo, hi)))
+    injected = 0
+    for sub in [pd, pd2, bigdiag, periodic_right_seed, late_return] + random_inputs:
+        try:
+            gate(sub)
+        except SubstratumError:
+            continue
+        for lo, hi in ((-200, 200), (-5000, -4600)):
+            try:
+                expected = per_index_inconsistencies(sub, lo, hi, corrupted(sub, real(sub, lo, hi)))
+            except Overflow:
+                with pytest.raises(Overflow):
+                    aperiodic_in_range(sub, lo, hi, certify=True)
+                continue
+            report = aperiodic_in_range(sub, lo, hi, certify=True)
+            assert list(report.inconsistencies) == expected, (str(sub), lo, hi)
+            injected += len(expected)
+    assert injected > 100
+
+
+def test_certification_away_from_zero(pd, bigdiag, late_return):
+    # the residue classes of this range do not start at a multiple of their period
+    for sub in (pd, bigdiag, late_return):
+        assert aperiodic_in_range(sub, -5000, -4600, certify=True).inconsistencies == ()
+
+
+def test_certification_reads_every_sampled_term(monkeypatch, pd, bigdiag, late_return):
+    # a wrong letter planted at the farthest term that the first or the last
+    # member of a class samples must be reported as the per-index samples report it
+    real_expand = toeplitz.expand
+    for sub in (pd, bigdiag, late_return):
+        half = sub.length**3  # max_terms is 2*ell^3, read alternately on both sides
+        verdicts = decide_range(sub, -200, 200)
+        first = next(v for v in verdicts if v.is_periodic())
+        last = next(v for v in reversed(verdicts) if v.is_periodic())
+        for target in (first.index - (half - 1) * first.period, last.index + half * last.period):
+
+            def planted(sub, generations, target=target):
+                window = real_expand(sub, generations)
+                letters = array(window.letters.typecode, window.letters)
+                letters[target - window.lo] = (letters[target - window.lo] + 1) % len(sub.alphabet)
+                return Window(window.alphabet, window.lo, window.hi, letters)
+
+            monkeypatch.setattr(toeplitz, "expand", planted)
+            expected = per_index_inconsistencies(sub, -200, 200, verdicts, expand=planted)
+            assert expected, (str(sub), target)  # the plant lies within a sample
+            report = aperiodic_in_range(sub, -200, 200, certify=True)
+            assert list(report.inconsistencies) == expected, (str(sub), target)
