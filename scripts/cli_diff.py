@@ -8,7 +8,10 @@
 do not start at 0),
 ``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
 one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
---range=-300..300``, ``automaton --reading direct|reverse --minimize --format
+--range=-300..300``, ``fixed-point`` on the far windows
+``--range=1000000000000..1000000000200`` and
+``--range=-1000000000200..-1000000000000`` (read index by index with
+``Dfao.run``), ``automaton --reading direct|reverse --minimize --format
 table`` and ``check`` in-process on the paper examples, on the six-letter
 ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde, e->abfb, f->eeba`` (seed
 a·a) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
@@ -41,6 +44,8 @@ VERBS = {
     "kernel-two": ["kernel", None, "--side", "two-sided"],
     "kernel-depth2": ["kernel", None, "--side", "one-sided", "--depth", "2"],
     "fixed-point": ["fixed-point", None, "--range=-300..300"],
+    "fixed-point-far": ["fixed-point", None, "--range=1000000000000..1000000000200"],
+    "fixed-point-far-neg": ["fixed-point", None, "--range=-1000000000200..-1000000000000"],
     "min-direct": ["automaton", None, "--reading", "direct", "--minimize", "--format", "table"],
     "min-reverse": ["automaton", None, "--reading", "reverse", "--minimize", "--format", "table"],
     "check": ["check", None],

@@ -106,7 +106,7 @@ class Dfao:
 
     def run(self, n: int) -> str:
         """The sequence entry u_n, from the canonical expansion of n."""
-        digits = digitmod._low_first(n, self.ell)
+        digits = digitmod._high_first(n, self.ell)
         if n >= 0:
             state, outputs, pad, filler = self.initial_nonneg, self.out_nonneg, self.pad_nonneg, 0
         else:
@@ -114,9 +114,9 @@ class Dfao:
                 raise NoNegativeSide("machine has no negative-side initial state")
             state, outputs, pad, filler = self.initial_neg, self.out_neg, self.pad_neg, self.ell - 1
         if pad > 1 and len(digits) % pad:
-            digits += (filler,) * (pad - len(digits) % pad)
+            digits = (filler,) * (pad - len(digits) % pad) + digits
         delta = self.delta
-        for d in reversed(digits) if self.reading == DIRECT else digits:
+        for d in digits if self.reading == DIRECT else reversed(digits):
             state = delta[state][d]
         return self.out_alphabet[outputs[state]]
 

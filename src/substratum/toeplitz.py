@@ -370,6 +370,7 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
 
     cycles = _labelled_cycles(keep, adjacency, MAX_CYCLE_LENGTH, MAX_CYCLES)
     reachable_prefix = _shortest_paths(dfao.initial_nonneg, keep_set, adjacency)
+    ell = dfao.ell
     infos = []
     for start, digit_seq in cycles:
         if start not in reachable_prefix:
@@ -377,9 +378,11 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
         prefix = reachable_prefix[start]
         address: int | None = None
         if all(d == 0 for d in digit_seq):
-            address = _value(prefix, dfao.ell)
-        elif all(d == dfao.ell - 1 for d in digit_seq):
-            address = _value(prefix, dfao.ell) - dfao.ell ** len(prefix)
+            address = digitmod.to_int(digitmod.DigitString(ell, prefix[::-1]))
+        elif all(d == ell - 1 for d in digit_seq):
+            # a marker read as (ell-1)^inf in front: the prefix's value - ell^len(prefix)
+            marked = (ell - 1,) + prefix[::-1]
+            address = digitmod.to_int(digitmod.DigitString(ell, marked, negative=True))
         infos.append(
             CycleInfo(
                 entry_state=start,
@@ -397,10 +400,6 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
         removed=dfao.num_states - len(keep),
         cycles=tuple(infos),
     )
-
-
-def _value(digits_low_first: tuple[int, ...], ell: int) -> int:
-    return sum(d * ell**i for i, d in enumerate(digits_low_first))
 
 
 def _shortest_paths(initial: int, keep: set[int], adjacency) -> dict[int, tuple[int, ...]]:

@@ -1,6 +1,55 @@
+from dataclasses import replace
+
 import pytest
 
-from substratum import BadBase, DigitString, NonCanonical, pad, to_digits, to_int
+from substratum import (
+    BadBase,
+    DigitString,
+    NonCanonical,
+    build_direct,
+    build_reverse_semigroup,
+    pad,
+    to_digits,
+    to_int,
+)
+from substratum.automata import DIRECT
+from substratum.digits import CHUNK_CAP, _chunks, _low_first
+
+CHUNK_BASES = [2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 255, 256, 257, 300]
+
+
+def _low_first_by_divmod(n, base):
+    """The reference expansion: one divmod per digit, least significant first."""
+    if base < 2:
+        raise BadBase(f"base must be >= 2, got {base}")
+    digits = []
+    stop = 0 if n >= 0 else -1
+    while n != stop:
+        n, r = divmod(n, base)
+        digits.append(r)
+    if stop:
+        digits.append(base - 1)
+    return tuple(digits)
+
+
+def _run_by_low_first(machine, n):
+    """The reference reading of u_n: low-first digits padded at the high end,
+    reversed for a direct machine."""
+    digits = _low_first_by_divmod(n, machine.ell)
+    if n >= 0:
+        state, outputs, step, filler = machine.initial_nonneg, machine.out_nonneg, machine.pad_nonneg, 0
+    else:
+        state, outputs, step, filler = machine.initial_neg, machine.out_neg, machine.pad_neg, machine.ell - 1
+    if step > 1 and len(digits) % step:
+        digits += (filler,) * (step - len(digits) % step)
+    for d in reversed(digits) if machine.reading == DIRECT else digits:
+        state = machine.delta[state][d]
+    return machine.out_alphabet[outputs[state]]
+
+
+def _chunk_boundaries(base):
+    size = _chunks(base)[0]
+    return [s * size**i + e for i in range(5) for s in (1, -1) for e in (-1, 0, 1)]
 
 
 def test_binary_of_three():
@@ -108,3 +157,39 @@ def test_str_rendering():
     assert str(to_digits(-5, 2)) == "~1·011"
     assert str(to_digits(-1, 4)) == "~3·"
     assert str(to_digits(11, 2)) == "1011"
+
+
+@pytest.mark.parametrize("base", CHUNK_BASES)
+def test_chunked_expansion_matches_the_divmod_loop(base):
+    values = [*range(-10_000, 10_001), *_chunk_boundaries(base), 10**30, -(10**30)]
+    for n in values:
+        expected = _low_first_by_divmod(n, base)
+        assert _low_first(n, base) == expected, n
+        assert to_digits(n, base).digits == expected[::-1], n
+
+
+def test_chunk_sizes_stay_within_the_cap():
+    for base in CHUNK_BASES:
+        size, full, top_pos, top_neg = _chunks(base)
+        assert len(full) == len(top_pos) == len(top_neg) == size
+        assert size == base or size * base > CHUNK_CAP >= size
+
+
+@pytest.mark.parametrize("base", [1, 0])
+def test_bad_base_message_is_unchanged(base):
+    with pytest.raises(BadBase, match=f"^base must be >= 2, got {base}$"):
+        to_digits(5, base)
+    with pytest.raises(BadBase, match=f"^base must be >= 2, got {base}$"):
+        _low_first(-5, base)
+
+
+def test_dfao_run_matches_the_low_first_reading_at_far_indices(pd2, periodic_right_seed, bigdiag):
+    # the direct machines of periodic_right_seed and bigdiag pad one side to even length
+    assert (build_direct(periodic_right_seed).pad_nonneg, build_direct(bigdiag).pad_neg) == (2, 2)
+    far = [s * (10**e + d) for e in (12, 15, 20, 30) for d in range(-3, 4) for s in (1, -1)]
+    for sub in (pd2, periodic_right_seed, bigdiag):
+        direct = build_direct(sub)
+        reverse = build_reverse_semigroup(sub).dfao
+        for machine in (direct, reverse, replace(reverse, pad_nonneg=2, pad_neg=3)):
+            for n in far:
+                assert machine.run(n) == _run_by_low_first(machine, n), (machine.reading, n)
