@@ -12,7 +12,8 @@ one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 ``--range=1000000000000..1000000000200`` and
 ``--range=-1000000000200..-1000000000000`` (read index by index with
 ``Dfao.run``), ``automaton --reading direct|reverse --minimize --format
-table`` and ``check`` in-process on the paper examples, on the six-letter
+table``, ``automaton --reading reverse --format table`` (unminimized: the
+orbit's state order and labels) and ``check`` in-process on the paper examples, on the six-letter
 ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde, e->abfb, f->eeba`` (seed
 a·a) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
 ``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
@@ -48,6 +49,7 @@ VERBS = {
     "fixed-point-far-neg": ["fixed-point", None, "--range=-1000000000200..-1000000000000"],
     "min-direct": ["automaton", None, "--reading", "direct", "--minimize", "--format", "table"],
     "min-reverse": ["automaton", None, "--reading", "reverse", "--minimize", "--format", "table"],
+    "reverse": ["automaton", None, "--reading", "reverse", "--format", "table"],
     "check": ["check", None],
 }
 

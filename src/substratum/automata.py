@@ -19,7 +19,11 @@ Every closure of maps under composition in the package runs on
 :func:`_orbit`, a breadth-first search over plain int-tuple maps paired with
 that phase.  Reversing a direct machine is one such orbit (its states are the
 transition maps of digit words), and the semigroup-labelled reverse machine is
-that reversal of Cobham's direct machine, relabelled by column maps.
+that reversal of Cobham's direct machine, relabelled by column maps.  The
+orbit is memoized by value, so the reverse machine, the determinized reversal
+and the semigroup closures of one substitution share one run per period.
+Minimization likewise memoizes its Moore partition by the machine's structure
+without its labels, so the two reversals share one refinement.
 """
 
 from __future__ import annotations
@@ -250,7 +254,7 @@ class Dfao:
 
     def to_dot(self) -> str:
         names = self.state_names()
-        order = _reachable_order(self)
+        order = _reachable_order(self.delta, self.initial_nonneg, self.initial_neg)
         reached = set(order)
         order += [s for s in range(self.num_states) if s not in reached]
         rank = {s: i for i, s in enumerate(order)}
@@ -364,14 +368,16 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
 # -- the closure engine and reversal by determinization ---------------------
 
 
-def _orbit(generators, start, period: int):
+@lru_cache(maxsize=None)
+def _orbit(generators: tuple, start, period: int, limit: int):
     """Breadth-first closure of ``start`` under right composition.
 
     Nodes are ``(map, phase)`` pairs, the map an int tuple; generator g leads
     from ``(f, p)`` to ``(f ∘ g, p + 1 mod period)``.  Returns the nodes,
     numbered in discovery order, and the delta table over those numbers.
+    Memoized by value and keyed on the state budget ``limit``, so every
+    construction over one substitution and period reads one BFS run.
     """
-    limit = word_budget()
     index = {start: 0}
     nodes = [start]
     delta = []
@@ -388,7 +394,7 @@ def _orbit(generators, start, period: int):
                 nodes.append(child)
             row.append(target)
         delta.append(tuple(row))
-    return nodes, delta
+    return tuple(nodes), tuple(delta)
 
 
 def reverse_and_determinize(dfao: Dfao) -> Dfao:
@@ -409,8 +415,8 @@ def _determinize(dfao: Dfao):
         raise ValueError("reversal expects a direct-reading machine")
     two_sided = dfao.two_sided()
     period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if two_sided else 1)
-    generators = [tuple(row[d] for row in dfao.delta) for d in range(dfao.ell)]
-    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period)
+    generators = tuple(zip(*dfao.delta))
+    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period, word_budget())
 
     def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[int, ...]:
         anchors = [initial]
@@ -421,7 +427,7 @@ def _determinize(dfao: Dfao):
     return nodes, Dfao(
         ell=dfao.ell,
         labels=tuple(f"r{i}" for i in range(len(nodes))),
-        delta=tuple(delta),
+        delta=delta,
         initial_nonneg=0,
         initial_neg=0 if two_sided else None,
         out_alphabet=dfao.out_alphabet,
@@ -446,7 +452,10 @@ def minimize(machine) -> Dfao:
     Unreachable states are dropped, and the blocks are numbered in the order
     their first state appears along the BFS order of :func:`_reachable_order`.
     The result is memoized by the machine's value, so the kernel reuses the
-    minimization of a reverse machine already minimized in the same run.  A
+    minimization of a reverse machine already minimized in the same run, and
+    the Moore run by the machine's structure without its labels, so the
+    semigroup-labelled reverse machine and the determinized reversal of the
+    direct machine share one run and each keeps its own labels.  A
     remembered answer is that of a Moore run on an equal machine, so
     ``check``'s "minimize idempotent" line still compares a real
     minimization.
@@ -456,15 +465,37 @@ def minimize(machine) -> Dfao:
 
 @lru_cache(maxsize=None)
 def _minimize(dfao: Dfao) -> Dfao:
-    states = _reachable_order(dfao)
-    delta = dfao.delta
-    out_neg = dfao.out_neg if dfao.out_neg is not None else (-1,) * dfao.num_states
-    block: list = list(zip(dfao.out_nonneg, out_neg))  # round 0: each state's output pair
+    rep, block = _partition(
+        dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg
+    )
+    return replace(
+        dfao,
+        labels=tuple(dfao.labels[s] for s in rep),
+        delta=tuple(tuple(map(block.__getitem__, dfao.delta[s])) for s in rep),
+        initial_nonneg=block[dfao.initial_nonneg],
+        initial_neg=block[dfao.initial_neg] if dfao.initial_neg is not None else None,
+        out_nonneg=tuple(dfao.out_nonneg[s] for s in rep),
+        out_neg=tuple(dfao.out_neg[s] for s in rep) if dfao.out_neg is not None else None,
+    )
+
+
+@lru_cache(maxsize=None)
+def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, out_neg):
+    """Moore refinement of a machine's structure, which leaves out its labels.
+
+    Returns ``rep``, the first state of each block along :func:`_reachable_order`
+    (block b becomes state b), and ``block``, the block of every reachable
+    state.  Machines that differ only in their labels share one run.
+    """
+    states = _reachable_order(delta, initial_nonneg, initial_neg)
+    if out_neg is None:
+        out_neg = (-1,) * len(delta)
+    block: list = list(zip(out_nonneg, out_neg))  # round 0: each state's output pair
     count = len({block[s] for s in states})
     while True:
         # each round numbers the blocks by first appearance along ``states``
         signatures: dict[tuple, int] = {}
-        refined = [0] * dfao.num_states
+        refined = [0] * len(delta)
         for s in states:
             refined[s] = signatures.setdefault(
                 (block[s], *map(block.__getitem__, delta[s])), len(signatures)
@@ -473,34 +504,25 @@ def _minimize(dfao: Dfao) -> Dfao:
         if len(signatures) == count:
             break
         count = len(signatures)
-    rep: list[int] = []  # rep[b]: the first state of block b, which becomes state b
+    rep: list[int] = []
     for s in states:
         if block[s] == len(rep):
             rep.append(s)
-    return replace(
-        dfao,
-        labels=tuple(dfao.labels[s] for s in rep),
-        delta=tuple(tuple(map(block.__getitem__, delta[s])) for s in rep),
-        initial_nonneg=block[dfao.initial_nonneg],
-        initial_neg=block[dfao.initial_neg] if dfao.initial_neg is not None else None,
-        out_nonneg=tuple(dfao.out_nonneg[s] for s in rep),
-        out_neg=tuple(dfao.out_neg[s] for s in rep) if dfao.out_neg is not None else None,
-    )
+    return tuple(rep), tuple(block)
 
 
-def _reachable_order(dfao: Dfao) -> list[int]:
-    """Reachable states in BFS order from the initial states."""
-    starts = [dfao.initial_nonneg]
-    if dfao.initial_neg is not None and dfao.initial_neg != dfao.initial_nonneg:
-        starts.append(dfao.initial_neg)
+def _reachable_order(delta, initial_nonneg: int, initial_neg: int | None) -> list[int]:
+    """States reachable through ``delta`` in BFS order from the initial states."""
+    starts = [initial_nonneg]
+    if initial_neg is not None and initial_neg != initial_nonneg:
+        starts.append(initial_neg)
     order: list[int] = []
     seen = set(starts)
     queue = deque(starts)
     while queue:
         s = queue.popleft()
         order.append(s)
-        for d in range(dfao.ell):
-            t = dfao.delta[s][d]
+        for t in delta[s]:
             if t not in seen:
                 seen.add(t)
                 queue.append(t)

@@ -9,7 +9,10 @@ generators when a word of length k leads to it.  The sequence of those
 survives every monoid in the chain precisely when it keeps reappearing at
 lengths divisible by the layer period.  The stabilizing exponent is the
 least n whose monoid equals that intersection; no exponent past the first
-stable multiple of the layer period needs to be tried.
+stable multiple of the layer period needs to be tried.  The orbit is the
+memoized one of :mod:`substratum.automata`, so ``closure(sub.columns())``,
+:func:`structure_semigroup` and a reverse machine of seed period 1 read one
+breadth-first run.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 from .automata import _orbit
 from .errors import BadAlphabet
-from .substitution import ColumnMap, Substitution
+from .substitution import ColumnMap, Substitution, word_budget
 
 
 @dataclass(frozen=True)
@@ -36,19 +39,22 @@ def closure(generators) -> SemigroupClosure:
     """Least composition-closed superset of the generators.
 
     Every product of one or more generators is the target of an edge of the
-    identity's orbit.
+    identity's orbit.  The orbit runs over the generators in the order given,
+    repeats included, so ``closure(sub.columns())`` reads the same orbit as
+    :func:`structure_semigroup` and the reverse machine; the result does not
+    depend on that order or on repeats.
     """
-    gens = tuple(sorted(set(generators), key=lambda m: m.table))
-    if not gens:
+    given = tuple(generators)
+    if not given:
         raise ValueError("need at least one generator")
-    alphabet = gens[0].alphabet
-    if any(g.alphabet != alphabet for g in gens):
+    alphabet = given[0].alphabet
+    if any(g.alphabet != alphabet for g in given):
         raise BadAlphabet("cannot compose maps over different alphabets")
     identity = tuple(range(len(alphabet)))
-    nodes, delta = _orbit([g.table for g in gens], (identity, 0), 1)
+    nodes, delta = _orbit(tuple(g.table for g in given), (identity, 0), 1, word_budget())
     tables = sorted({nodes[t][0] for row in delta for t in row})
     return SemigroupClosure(
-        generators=gens,
+        generators=tuple(sorted(set(given), key=lambda m: m.table)),
         elements=tuple(ColumnMap(alphabet, t) for t in tables),
         min_rank=min(len(set(t)) for t in tables),
     )
@@ -73,7 +79,7 @@ def _layers(sub: Substitution):
     """Orbit nodes and the layer sequence P_k = P_{k-1} * columns, as sets of
     node ids, up to its first repeat; with its threshold and period."""
     identity = tuple(range(len(sub.alphabet)))
-    nodes, delta = _orbit(list(zip(*sub.rules)), (identity, 0), 1)
+    nodes, delta = _orbit(tuple(zip(*sub.rules)), (identity, 0), 1, word_budget())
     layers = [frozenset(delta[0])]  # layers[k] = products of exactly k+1 columns
     seen_at = {layers[0]: 1}
     while True:

@@ -86,10 +86,11 @@ class ColumnMap:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != len(self.alphabet):
+        size = len(self.alphabet.letters)
+        if len(self.table) != size:
             raise BadAlphabet("column map table must cover the whole alphabet")
         for o in self.table:
-            if not 0 <= o < len(self.alphabet):
+            if not 0 <= o < size:
                 raise UnknownLetter(f"ordinal {o} outside alphabet")
 
     @classmethod
@@ -136,7 +137,7 @@ class ColumnMap:
         return None
 
     def vector(self) -> str:
-        return "(" + ",".join(self.alphabet[o] for o in self.table) + ")^T"
+        return "(" + ",".join(map(self.alphabet.letters.__getitem__, self.table)) + ")^T"
 
     def __str__(self) -> str:
         return self.vector()
@@ -182,7 +183,8 @@ class Substitution:
     def __post_init__(self) -> None:
         if self.length < 2:
             raise RuleLengthMismatch(f"substitution length must be >= 2, got {self.length}")
-        if len(self.rules) != len(self.alphabet):
+        size = len(self.alphabet.letters)
+        if len(self.rules) != size:
             raise RuleLengthMismatch("one rule per alphabet letter required")
         for a, image in enumerate(self.rules):
             if len(image) != self.length:
@@ -190,12 +192,12 @@ class Substitution:
                     f"rule for {self.alphabet[a]!r} has length {len(image)}, expected {self.length}"
                 )
             for o in image:
-                if not 0 <= o < len(self.alphabet):
+                if not 0 <= o < size:
                     raise UnknownLetter(f"rule for {self.alphabet[a]!r} leaves the alphabet")
         if self.seed is not None:
             a_l, a_r = self.seed
             for o in (a_l, a_r):
-                if not 0 <= o < len(self.alphabet):
+                if not 0 <= o < size:
                     raise UnknownLetter("seed letter outside alphabet")
             if self.column(0).cycle_length(a_r) is None:
                 raise BadSeed(
@@ -382,16 +384,35 @@ class Substitution:
     # -- invariants ----------------------------------------------------
 
     def is_primitive(self) -> bool:
-        """Whether some power of the occurrence relation is all-positive."""
-        size = len(self.alphabet)
-        occ = [frozenset(rule) for rule in self.rules]
-        reach = occ
-        # Wielandt bound on the primitivity exponent
-        for _ in range((size - 1) ** 2 + 1):
-            if all(len(row) == size for row in reach):
+        """Whether some power of the occurrence relation is all-positive.
+
+        Row a of the k-th power is the set of letters of theta^k(a), one int
+        bitmask per letter.  Every row is non-empty, so once a power is
+        all-positive every later one is too; squaring therefore decides by
+        the first power at or past the Wielandt bound (|A|-1)^2 + 1.
+        """
+        size = len(self.alphabet.letters)
+        full = (1 << size) - 1
+        rows = [0] * size
+        for a, rule in enumerate(self.rules):
+            for b in rule:
+                rows[a] |= 1 << b
+        bound = (size - 1) ** 2 + 1
+        power = 1
+        while True:
+            if all(row == full for row in rows):
                 return True
-            reach = [frozenset().union(*(occ[b] for b in row)) for row in reach]
-        return all(len(row) == size for row in reach)
+            if power >= bound:
+                return False
+            squared = []
+            for row in rows:
+                union = 0
+                for b in range(size):
+                    if row >> b & 1:
+                        union |= rows[b]
+                squared.append(union)
+            rows = squared
+            power *= 2
 
     def height(self) -> int:
         """Dekking's height: the largest n coprime to ell dividing every k >= 0

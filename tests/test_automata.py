@@ -12,9 +12,11 @@ from substratum import (
     Substitution,
     build_direct,
     build_reverse_semigroup,
+    closure,
     equivalent,
     minimize,
     reverse_and_determinize,
+    structure_semigroup,
     to_digits,
     pad,
     window_for_range,
@@ -226,7 +228,7 @@ def test_minimize_idempotent(pd, pd2, bigdiag, thue_morse):
 
 def dict_moore_minimize(dfao):
     """Moore refinement on dicts, as minimize ran before its list rewrite: the reference."""
-    states = _reachable_order(dfao)
+    states = _reachable_order(dfao.delta, dfao.initial_nonneg, dfao.initial_neg)
 
     def out_key(s: int):
         neg = dfao.out_neg[s] if dfao.out_neg is not None else -1
@@ -350,6 +352,39 @@ def test_minimize_is_memoized_by_value(pd2, bigdiag, periodic_right_seed):
     after = [minimize(m) for m in fixture_machines(subs)]
     assert after == before
     assert all(a is not b for a, b in zip(after, before))
+
+
+def test_one_orbit_per_substitution_and_period(fixtures):
+    periods = set()
+    for sub in fixtures:
+        clears = toolkit_cache_clears()
+        assert automata._orbit.cache_clear in clears
+        for clear in clears:
+            clear()
+        build_reverse_semigroup(sub)
+        reverse_and_determinize(build_direct(sub))
+        closure(sub.columns())
+        structure_semigroup(sub)
+        # the machines run at the seed period, closure and the layers at period 1
+        period = sub.seed_period()
+        assert automata._orbit.cache_info().misses == (1 if period == 1 else 2), str(sub)
+        periods.add(min(period, 2))
+    assert periods == {1, 2}
+
+
+def test_one_moore_run_per_machine_structure(fixtures):
+    for sub in fixtures:
+        clears = toolkit_cache_clears()
+        assert automata._partition.cache_clear in clears
+        for clear in clears:
+            clear()
+        reverse = build_reverse_semigroup(sub).dfao
+        determinized = reverse_and_determinize(build_direct(sub))
+        assert reverse.labels != determinized.labels
+        a, b = minimize(reverse), minimize(determinized)
+        assert automata._partition.cache_info().misses == 1
+        assert a == dict_moore_minimize(reverse)
+        assert b == dict_moore_minimize(determinized)
 
 
 def test_minimal_machines_have_equal_size(pd2, bigdiag):

@@ -32,6 +32,33 @@ def test_closure_idempotent(bigdiag):
     assert set(again.elements) == set(cl.elements)
 
 
+def closure_by_sorted_generators(generators):
+    """The closure's element tables and least rank, by a BFS over the sorted,
+    deduplicated generator tables, as closure ran before sharing the orbit."""
+    tables = sorted({g.table for g in generators})
+    identity = tuple(range(len(generators[0].alphabet)))
+    queue, seen, products = [identity], {identity}, set()
+    for f in queue:
+        for g in tables:
+            child = tuple(f[x] for x in g)  # f after g
+            products.add(child)
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return sorted(products), min(len(set(t)) for t in products)
+
+
+def test_closure_ignores_generator_order_and_repeats(fixtures, random_inputs):
+    for sub in fixtures + random_inputs:
+        columns = sub.columns()
+        cl = closure(columns)
+        assert closure(reversed(columns)) == cl == closure(columns + columns)
+        tables, min_rank = closure_by_sorted_generators(columns)
+        assert [m.table for m in cl.elements] == tables
+        assert cl.min_rank == min_rank
+        assert cl.generators == tuple(sorted(set(columns), key=lambda m: m.table))
+
+
 def test_closure_bigdiag_has_coincidence(bigdiag):
     assert closure(bigdiag.columns()).min_rank == 1
 

@@ -1,8 +1,11 @@
+import collections
 import math
+import random
 
 import pytest
 
 from substratum import (
+    Alphabet,
     BadSeed,
     ColumnMap,
     DigitOutOfRange,
@@ -150,6 +153,50 @@ def test_is_primitive(pd, bigdiag):
     assert bigdiag.is_primitive()
     split = Substitution.from_parts(["a", "b"], 2, {"a": "aa", "b": "bb"})
     assert not split.is_primitive()
+
+
+def primitive_by_iteration(sub):
+    """The occurrence relation iterated up to the Wielandt bound, one round
+    per power, as is_primitive ran before boolean squaring: the reference."""
+    size = len(sub.alphabet)
+    occ = [frozenset(rule) for rule in sub.rules]
+    reach = occ
+    for _ in range((size - 1) ** 2 + 1):
+        if all(len(row) == size for row in reach):
+            return True
+        reach = [frozenset().union(*(occ[b] for b in row)) for row in reach]
+    return all(len(row) == size for row in reach)
+
+
+def random_occurrence_inputs(count):
+    """Seeded substitutions with |A| 1..8 and ell 2..4: uniform rules, reducible
+    ones (the first letters never reach the last) and cyclic ones (letter a
+    maps into the class after its own, mod p)."""
+    rng = random.Random(20)
+    for i in range(count):
+        size, length = rng.randint(1, 8), rng.randint(2, 4)
+        kind = i % 3
+        if kind == 1 and size > 1:
+            cut = rng.randint(1, size - 1)
+            targets = [range(cut) if a < cut else range(size) for a in range(size)]
+        elif kind == 2 and size > 1:
+            p = rng.randint(2, size)
+            targets = [[b for b in range(size) if b % p == (a + 1) % p] for a in range(size)]
+        else:
+            targets = [range(size)] * size
+        rules = tuple(tuple(rng.choice(targets[a]) for _ in range(length)) for a in range(size))
+        yield Substitution(Alphabet(tuple("abcdefgh"[:size])), length, rules)
+
+
+def test_is_primitive_matches_iteration(fixtures, random_inputs):
+    for sub in fixtures + random_inputs:
+        assert sub.is_primitive() == primitive_by_iteration(sub), str(sub)
+    verdicts = collections.Counter()
+    for sub in random_occurrence_inputs(20_000):
+        verdict = sub.is_primitive()
+        assert verdict == primitive_by_iteration(sub), str(sub)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 2_000  # both answers are well represented
 
 
 def test_is_primitive_powers(pd, bigdiag):
