@@ -20,13 +20,15 @@ a·a) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
 exit code, stdout, stderr) per run.  Run it once per checkout, each in a
 fresh interpreter.
 ``compare`` counts the identical runs per verb and names every run that
-differs in stdout, stderr or exit code.
+differs in stdout, stderr or exit code, with how many stdout lines a line
+diff removes and adds and the first line of each.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -115,6 +117,17 @@ def dump(src: str, out_path: str) -> None:
                 out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def line_changes(old: str, new: str) -> tuple[list[str], list[str]]:
+    """The stdout lines that a line diff removes from ``old`` and adds in ``new``."""
+    a, b = old.splitlines(), new.splitlines()
+    removed, added = [], []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            removed += a[i1:i2]
+            added += b[j1:j2]
+    return removed, added
+
+
 def compare(old_path: str, new_path: str) -> int:
     with open(old_path, encoding="utf-8") as fh:
         old = [json.loads(line) for line in fh]
@@ -129,6 +142,10 @@ def compare(old_path: str, new_path: str) -> int:
         counts[verb, "identical" if same else "different"] += 1
         if not same:
             print(f"DIFF {name} {verb}: exit {rc} -> {rc2}")
+            removed, added = line_changes(out, out2)
+            for sign, lines in (("-", removed), ("+", added)):
+                if lines:
+                    print(f"  {sign}{len(lines)} stdout lines, first: {lines[0]}")
     for key in sorted(counts):
         print(*key, counts[key], sep="\t")
     differ = sum(n for (_, kind), n in counts.items() if kind == "different")

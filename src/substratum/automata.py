@@ -77,7 +77,7 @@ class Dfao:
         if len(self.delta) != n or len(self.out_nonneg) != n:
             raise UnknownLetter("state tables must agree with the label list")
         for row in self.delta:
-            if len(row) != self.ell or any(not 0 <= t < n for t in row):
+            if len(row) != self.ell or min(row) < 0 or max(row) >= n:
                 raise DigitOutOfRange("transition table must be total over the digits")
         if (self.initial_neg is None) != (self.out_neg is None):
             raise NoNegativeSide("negative side needs both an initial state and outputs")

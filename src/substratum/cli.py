@@ -115,6 +115,8 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.depth is not None and args.depth < 0:
+        raise InputError(f"--depth must be >= 0, got {args.depth}")
     sub = load_substitution(args.file)
     elements = kernelmod.enumerate_kernel(sub, side=args.side)
     print(f"kernel size: {len(elements)}")
@@ -176,10 +178,9 @@ def cmd_reduced_graph(args) -> int:
         print(f"  {label}")
     print(f"edges: {len(graph.edges)}")
     for cycle in graph.cycles:
-        addr = "-" if cycle.address is None else str(cycle.address)
         prefix = ",".join(map(str, cycle.prefix_digits)) or "ε"
         body = ",".join(map(str, cycle.cycle_digits))
-        print(f"cycle ({body})* after {prefix}: address {addr}")
+        print(f"cycle ({body})* after {prefix}: address {cycle.address}")
     return 0
 
 
@@ -348,6 +349,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        word_budget()  # a malformed budget is refused before any verb prints
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from .errors import (
     BadAlphabet,
     BadSeed,
     DigitOutOfRange,
+    InputError,
     Overflow,
     RuleLengthMismatch,
     SeedMissing,
@@ -33,14 +34,18 @@ def word_budget() -> int:
 
     It caps expanded word lengths, automaton state counts and closure sizes;
     every construction reads it at the call, so a changed setting applies.
+    A setting that is not a positive integer is invalid input.
     """
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise BadAlphabet(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 1:
+        raise InputError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,16 @@ along its ell-adic digit stream eventually reaches a constant state (constant
 states absorb, so "eventually" is decidable: after the canonical digits only
 the sign's tail digit repeats, and the tail walk cycles).  The reduced graph
 is that machine minus its constant states; infinite digit streams surviving
-inside it spell the aperiodic addresses, and the fixed point is aperiodic
-exactly when the part of it reachable from the identity has a cycle.
+inside it spell the aperiodic ell-adic addresses, and the fixed point is
+aperiodic exactly when the part of it reachable from the identity has a
+cycle.  The aperiodic integers are those whose tail walk ends on a cycle of
+the digit-0 or digit-(ell-1) map, and the reduced graph lists every such
+cycle, each with the integer that its shortest access path spells.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +29,6 @@ from .substitution import ColumnMap, Substitution
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
 CERTIFY_DEPTH = 6  # an aperiodic verdict is certified at every step ell^k, k <= 6
-MAX_CYCLE_LENGTH = 12  # the reduced graph lists simple cycles of at most 12 edges,
-MAX_CYCLES = 500  # and at most 500 of them
 
 
 @dataclass(frozen=True)
@@ -305,23 +306,24 @@ def _certified_classes(window, verdicts, terms: int) -> set[tuple[int, int, str]
 
 @dataclass(frozen=True)
 class CycleInfo:
-    """A labelled simple cycle of the reduced graph, with the address it spells.
+    """A cycle of a tail map of the reduced graph, with the integer it spells.
 
-    The address is the ell-adic integer whose digit stream is the access path
-    followed by the cycle repeated; it collapses to an ordinary integer only
-    when the cycle repeats the digit 0 (a non-negative address) or the digit
-    ell-1 (a negative one).
+    The cycle repeats one digit d, 0 or ell-1, and is entered at its least
+    state by the shortest access path; the address is the integer whose
+    digit stream is that path followed by d forever: the path's value for
+    d = 0, and the path's value - ell^len(path) for d = ell-1.
     """
 
     entry_state: int
     prefix_digits: tuple[int, ...]
     cycle_digits: tuple[int, ...]
-    address: int | None
+    address: int
 
 
 @dataclass(frozen=True)
 class ReducedGraph:
-    """Semigroup automaton minus its constant states and the edges into them."""
+    """Semigroup automaton minus its constant states and the edges into them,
+    with every cycle of its two tail maps that the identity reaches."""
 
     machine: SemigroupAutomaton
     vertices: tuple[int, ...]
@@ -351,46 +353,37 @@ class ReducedGraph:
 
 def reduced_graph(sub: Substitution) -> ReducedGraph:
     """Delete all 1-vertices (constant-map states) of the gate's machine and
-    the edges leading to them; list its simple cycles of at most
-    ``MAX_CYCLE_LENGTH`` edges, at most ``MAX_CYCLES`` of them."""
+    the edges leading to them; list the cycles of the tail maps
+    s -> delta(s, 0) and s -> delta(s, ell-1) among the live states.
+
+    The live states are the non-constant ones that the identity reaches
+    through non-constant states.  After its canonical digits an integer's
+    walk reads its tail digit forever (0 for n >= 0, ell-1 for n < 0), so it
+    is aperiodic exactly when that tail walk enters one of these cycles
+    before a constant state: the list is complete.  Each tail map is a
+    function, so one walk per live state finds all of its cycles.
+    """
     g = gate(sub)
     machine = g.machine
     dfao = machine.dfao
+    delta, ell = dfao.delta, dfao.ell
     keep = [s for s in range(dfao.num_states) if not g.constant[s]]
-    keep_set = set(keep)
-    edges = tuple(
-        (s, d, dfao.delta[s][d])
-        for s in keep
-        for d in range(dfao.ell)
-        if dfao.delta[s][d] in keep_set
-    )
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in keep}
-    for s, d, t in edges:
-        adjacency[s].append((d, t))
-
-    cycles = _labelled_cycles(keep, adjacency, MAX_CYCLE_LENGTH, MAX_CYCLES)
-    reachable_prefix = _shortest_paths(dfao.initial_nonneg, keep_set, adjacency)
-    ell = dfao.ell
+    edges = tuple((s, d, t) for s in keep for d, t in enumerate(delta[s]) if not g.constant[t])
+    paths = _shortest_paths(dfao.initial_nonneg, delta, g.constant)
     infos = []
-    for start, digit_seq in cycles:
-        if start not in reachable_prefix:
-            continue  # never the digit stream of an actual integer walk
-        prefix = reachable_prefix[start]
-        address: int | None = None
-        if all(d == 0 for d in digit_seq):
-            address = digitmod.to_int(digitmod.DigitString(ell, prefix[::-1]))
-        elif all(d == ell - 1 for d in digit_seq):
-            # a marker read as (ell-1)^inf in front: the prefix's value - ell^len(prefix)
-            marked = (ell - 1,) + prefix[::-1]
-            address = digitmod.to_int(digitmod.DigitString(ell, marked, negative=True))
-        infos.append(
-            CycleInfo(
-                entry_state=start,
-                prefix_digits=prefix,
-                cycle_digits=digit_seq,
-                address=address,
+    for digit in (0, ell - 1):
+        for cycle in _tail_cycles(delta, digit, paths):
+            entry = min(cycle)
+            prefix = paths[entry]
+            value = sum(d * ell**i for i, d in enumerate(prefix))
+            infos.append(
+                CycleInfo(
+                    entry_state=entry,
+                    prefix_digits=prefix,
+                    cycle_digits=(digit,) * len(cycle),
+                    address=value if digit == 0 else value - ell ** len(prefix),
+                )
             )
-        )
     infos.sort(key=lambda c: (len(c.cycle_digits), c.cycle_digits, c.prefix_digits))
     return ReducedGraph(
         machine=machine,
@@ -402,62 +395,36 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
     )
 
 
-def _shortest_paths(initial: int, keep: set[int], adjacency) -> dict[int, tuple[int, ...]]:
-    """BFS digit paths from the initial state staying inside the reduced graph."""
-    if initial not in keep:
+def _shortest_paths(initial: int, delta, constant) -> dict[int, tuple[int, ...]]:
+    """BFS digit paths from the initial state through non-constant states,
+    least digit first: the live states, each with its shortest access path."""
+    if constant[initial]:
         return {}
     paths = {initial: ()}
-    queue = deque([initial])
-    while queue:
-        s = queue.popleft()
-        for d, t in sorted(adjacency[s]):
-            if t not in paths:
+    queue = [initial]
+    for s in queue:  # the list grows behind the cursor
+        for d, t in enumerate(delta[s]):
+            if not constant[t] and t not in paths:
                 paths[t] = paths[s] + (d,)
                 queue.append(t)
     return paths
 
 
-def _labelled_cycles(vertices, adjacency, max_length: int, max_count: int):
-    """Simple digit-labelled cycles up to the length budget, at most ``max_count``.
+def _tail_cycles(delta, digit: int, live) -> list[list[int]]:
+    """The cycles of s -> delta[s][digit] that stay among the ``live`` states.
 
-    A cycle is anchored at its smallest vertex to avoid reporting rotations
-    and found by a depth-first search over the vertices above its anchor.  As
-    in Johnson's circuit enumeration (SIAM J. Comput. 4(1), 1975), branches
-    that cannot return are pruned: one reverse BFS per anchor gives
-    ``back[t]``, the fewest edges from t back to the anchor, and the search
-    enters t only when the path so far, the edge and ``back[t]`` fit in
-    ``max_length``.  A pruned branch closes no cycle within the bound and the
-    others are explored in the same order, so the cycles, their order and the
-    cut at ``max_count`` are those of the unpruned search.
+    A walk from each state not yet visited stops at a dead or earlier-visited
+    state, or closes a cycle on its own path; every state is walked once.
     """
-    successors = {v: sorted(adjacency[v], reverse=True) for v in vertices}
-    predecessors: dict[int, list[int]] = {v: [] for v in vertices}
-    for v in vertices:
-        for _, t in adjacency[v]:
-            predecessors[t].append(v)
-    cycles: list[tuple[int, tuple[int, ...]]] = []
-    for anchor in sorted(vertices):
-        back = {anchor: 0}
-        frontier = [anchor]
-        depth = 0
-        while frontier and depth < max_length - 1:
-            depth += 1
-            reached = []
-            for t in frontier:
-                for s in predecessors[t]:
-                    if s > anchor and s not in back:
-                        back[s] = depth
-                        reached.append(s)
-            frontier = reached
-        stack = [(anchor, (), frozenset())]
-        while stack:
-            v, digit_seq, visited = stack.pop()
-            room = max_length - len(digit_seq) - 1  # edges left after the next one
-            for d, t in successors[v]:
-                if t == anchor:
-                    cycles.append((anchor, digit_seq + (d,)))
-                    if len(cycles) >= max_count:
-                        return cycles
-                elif back.get(t, room + 1) <= room and t not in visited:
-                    stack.append((t, digit_seq + (d,), visited | {t}))
+    visited: set[int] = set()
+    cycles = []
+    for start in live:
+        path: dict[int, int] = {}  # state -> position on this walk
+        s = start
+        while s in live and s not in visited and s not in path:
+            path[s] = len(path)
+            s = delta[s][digit]
+        if s in path:
+            cycles.append(list(path)[path[s] :])
+        visited.update(path)
     return cycles

@@ -1,4 +1,7 @@
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 
@@ -110,3 +113,13 @@ def periodic_coincidence():
         (parts("abcd", 2, {"a": "da", "b": "da", "c": "ca", "d": "cb"}, "ac"), 8),
         (parts("abcde", 3, {"a": "bce", "b": "bdd", "c": "ade", "d": "aed", "e": "aed"}, "db"), 81),
     ]
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The benchmark's seeded corpus generator, bench/corpus.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "corpus.py")
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -387,6 +387,17 @@ def test_one_moore_run_per_machine_structure(fixtures):
         assert b == dict_moore_minimize(determinized)
 
 
+def test_semigroup_machine_of_the_simplified_form_is_minimal(fixtures, random_inputs, corpus):
+    # the paper's claim; it needs primitivity: twelve of the non-primitive
+    # random inputs, with letters that never occur, give machines that merge
+    subs = fixtures + random_inputs + [entry.sub for entry in corpus.machine_corpus(1)[:60]]
+    primitive = [sub for sub in subs if sub.is_primitive()]
+    assert len(primitive) >= 100
+    for sub in primitive:
+        machine = build_reverse_semigroup(sub.simplify()[0])
+        assert minimize(machine).num_states == machine.num_states, str(sub)
+
+
 def test_minimal_machines_have_equal_size(pd2, bigdiag):
     for sub in (pd2, bigdiag):
         a = minimize(build_reverse_semigroup(sub))

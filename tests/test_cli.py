@@ -156,6 +156,24 @@ def test_kernel_table(sub_file, capsys):
     assert "brute-force count at depth 4: 4" in out
 
 
+def test_kernel_negative_depth_is_invalid_input(sub_file, capsys):
+    assert main(["kernel", sub_file(PD), "--depth", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth" in captured.err
+
+
+@pytest.mark.parametrize("budget", ["ten", "-3", "0"])
+def test_bad_budget_is_invalid_input(sub_file, capsys, monkeypatch, budget):
+    # refused before the first line of output, whatever the verb
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", budget)
+    for argv in (["check", sub_file(PD)], ["validate", sub_file(PD)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SUBSTRATUM_BUDGET" in captured.err
+
+
 def test_semigroup(sub_file, capsys):
     assert main(["semigroup", sub_file(PD)]) == 0
     out = capsys.readouterr().out

@@ -16,6 +16,8 @@ from substratum import (
     build_direct,
     closure,
 )
+from substratum.errors import InputError
+from substratum.substitution import word_budget
 
 
 def test_validate_period_doubling():
@@ -308,3 +310,13 @@ def test_window_sides_grow_by_their_own_seed_period():
     direct = build_direct(sub)
     assert sub.fixed_point_window(0, 255) == direct.run_range(0, 255)
     assert sub.fixed_point_window(-300, -1) == direct.run_range(-300, -1)
+
+
+def test_word_budget_refuses_a_bad_setting(monkeypatch):
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "1")
+    assert word_budget() == 1
+    for raw in ("ten", "1.5", "-3", "0"):
+        monkeypatch.setenv("SUBSTRATUM_BUDGET", raw)
+        with pytest.raises(InputError, match="SUBSTRATUM_BUDGET must be a positive integer") as info:
+            word_budget()
+        assert type(info.value) is InputError, raw  # a bad setting, not a bad alphabet

@@ -21,7 +21,8 @@ from substratum import (
     window_for_range,
 )
 from substratum import toeplitz
-from substratum.toeplitz import CERTIFY_DEPTH, _labelled_cycles, decide_range, gate
+from substratum.digits import DigitString, to_int
+from substratum.toeplitz import CERTIFY_DEPTH, CycleInfo, decide_range, gate
 
 BIGDIAG_APERIODIC_50 = (
     -50, -49, -48, -47, -46, -42, -41, -40, -36, -35, -34, -33, -32, -31, -30,
@@ -196,7 +197,7 @@ def test_reduced_graph_refuses_non_coincidence(thue_morse):
 
 
 def unpruned_labelled_cycles(vertices, adjacency, max_length, max_count):
-    """The cycle search as it was before return-distance pruning: the reference."""
+    """The bounded simple-cycle search that reduced_graph once ran: the reference."""
     cycles = []
     for anchor in sorted(vertices):
         stack = [(anchor, (), frozenset())]
@@ -212,13 +213,50 @@ def unpruned_labelled_cycles(vertices, adjacency, max_length, max_count):
     return cycles
 
 
-def cycle_search_input(sub):
-    """The vertices and adjacency that reduced_graph hands to the cycle search."""
+def reference_cycles(sub, max_length=12, max_count=500):
+    """The cycles with an integer address among those of the bounded search,
+    each entered by its shortest access path, in reduced_graph's order; and
+    whether the search stopped at ``max_count``."""
     graph = reduced_graph(sub)
     adjacency = {v: [] for v in graph.vertices}
     for s, d, t in graph.edges:
         adjacency[s].append((d, t))
-    return list(graph.vertices), adjacency
+    initial = graph.machine.dfao.initial_nonneg
+    paths = {initial: ()} if initial in adjacency else {}
+    queue = list(paths)
+    for s in queue:  # breadth first: the list grows behind the cursor
+        for d, t in adjacency[s]:
+            if t not in paths:
+                paths[t] = paths[s] + (d,)
+                queue.append(t)
+    found = unpruned_labelled_cycles(list(graph.vertices), adjacency, max_length, max_count)
+    ell = sub.length
+    infos = []
+    for anchor, digit_seq in found:
+        if anchor not in paths:
+            continue
+        prefix = paths[anchor]
+        if set(digit_seq) == {0}:
+            address = to_int(DigitString(ell, prefix[::-1]))
+        elif set(digit_seq) == {ell - 1}:
+            address = to_int(DigitString(ell, (ell - 1,) + prefix[::-1], negative=True))
+        else:
+            continue  # an ell-adic point, not an integer
+        infos.append(CycleInfo(anchor, prefix, digit_seq, address))
+    infos.sort(key=lambda c: (len(c.cycle_digits), c.cycle_digits, c.prefix_digits))
+    return tuple(infos), len(found) >= max_count
+
+
+def admitted(subs):
+    """The inputs that the gate admits."""
+    kept = []
+    for sub in subs:
+        try:
+            gate(sub)
+        except SubstratumError:
+            continue
+        kept.append(sub)
+    return kept
 
 
 def admitted_random_substitutions(seed, count, max_states=128):
@@ -245,40 +283,65 @@ def admitted_random_substitutions(seed, count, max_states=128):
     return found
 
 
-def assert_cycle_search_unchanged(vertices, adjacency):
-    """Equal lists on every budget pair; returns how many pairs hit the count budget."""
-    hits = 0
-    for max_length in (1, 2, 3, 5, 12):
-        for max_count in (1, 7, 500):
-            expected = unpruned_labelled_cycles(vertices, adjacency, max_length, max_count)
-            assert _labelled_cycles(vertices, adjacency, max_length, max_count) == expected
-            hits += len(expected) >= max_count
-    return hits
+def assert_tail_cycles_complete(sub, span=300):
+    """decide_per calls n aperiodic exactly when the walk over n's canonical
+    digits, then its tail digit forever, enters a listed cycle before a
+    constant state; every listed address is aperiodic."""
+    graph = reduced_graph(sub)
+    delta = graph.machine.dfao.delta
+    constant = gate(sub).constant
+    on_cycle = set()  # (state, digit) on a listed cycle of that digit's map
+    for c in graph.cycles:
+        s = c.entry_state
+        for d in c.cycle_digits:
+            on_cycle.add((s, d))
+            s = delta[s][d]
+        assert s == c.entry_state
+        assert not decide_per(sub, c.address).is_periodic(), (str(sub), c)
+    for n in range(-span, span + 1):
+        tail = 0 if n >= 0 else sub.length - 1
+        s = graph.machine.dfao.initial_nonneg
+        for d in reversed(to_digits(n, sub.length).digits):
+            s = delta[s][d]
+        for _ in range(len(delta) + 1):  # a constant state or a cycle within |states| steps
+            if constant[s] or (s, tail) in on_cycle:
+                break
+            s = delta[s][tail]
+        entered = not constant[s] and (s, tail) in on_cycle
+        assert entered == (not decide_per(sub, n).is_periodic()), (str(sub), n)
 
 
-def test_cycle_search_matches_unpruned_search_on_fixtures(
-    pd, pd2, bigdiag, periodic_right_seed, constant_sub
+def test_tail_cycles_are_complete_on_fixtures_and_random_inputs(
+    fixtures, late_return, periodic_coincidence, random_inputs
 ):
-    hits = 0
-    for sub in (pd, pd2, bigdiag, periodic_right_seed, constant_sub):
-        hits += assert_cycle_search_unchanged(*cycle_search_input(sub))
-    assert hits > 0
+    subs = admitted(fixtures + [late_return] + [sub for sub, _ in periodic_coincidence] + random_inputs)
+    assert len(subs) >= 20
+    for sub in subs:
+        assert_tail_cycles_complete(sub)
 
 
-def test_cycle_search_matches_unpruned_search_on_random_substitutions():
-    hits = 0
-    for sub in admitted_random_substitutions(seed=6, count=10):
-        hits += assert_cycle_search_unchanged(*cycle_search_input(sub))
-    assert hits > 0
+def test_tail_cycles_are_complete_on_a_corpus_slice(corpus):
+    subs = admitted([entry.sub for entry in corpus.coincidence_corpus(1)[:40]])
+    assert len(subs) >= 20
+    for sub in subs:
+        assert_tail_cycles_complete(sub)
 
 
-def test_cycle_search_matches_unpruned_search_past_the_count_budget():
-    # a complete digraph on six vertices with two digits per edge holds far
-    # more than 500 simple cycles of length <= 12
-    vertices = list(range(6))
-    adjacency = {v: [(d, t) for t in vertices for d in (0, 1)] for v in vertices}
-    assert len(_labelled_cycles(vertices, adjacency, 12, 500)) == 500
-    assert assert_cycle_search_unchanged(vertices, adjacency) > 0
+def test_tail_cycles_hold_every_bounded_cycle_with_an_integer_address(
+    fixtures, late_return, periodic_coincidence
+):
+    subs = admitted(fixtures + [late_return] + [sub for sub, _ in periodic_coincidence])
+    subs += admitted_random_substitutions(seed=6, count=10)
+    cut = 0
+    for sub in subs:
+        expected, stopped = reference_cycles(sub)
+        cycles = reduced_graph(sub).cycles
+        assert set(expected) <= set(cycles), str(sub)
+        if stopped:
+            cut += 1
+        else:
+            assert expected == cycles, str(sub)
+    assert cut > 0  # some references stop at 500, and the tail cycles go on
 
 
 def per_index(sub, lo, hi):
