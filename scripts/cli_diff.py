@@ -21,7 +21,10 @@ exit code, stdout, stderr) per run.  Run it once per checkout, each in a
 fresh interpreter.
 ``compare`` counts the identical runs per verb and names every run that
 differs in stdout, stderr or exit code, with how many stdout lines a line
-diff removes and adds and the first line of each.
+diff removes and adds and the first line of each.  It ends with a table of
+the differing runs per verb and exit-code transition (``check 3->0: 32``);
+runs whose stdout and exit code agree, so that only stderr differs, are
+marked ``stderr only`` there and in their ``DIFF`` line.
 """
 
 from __future__ import annotations
@@ -137,17 +140,24 @@ def compare(old_path: str, new_path: str) -> int:
         print("the two dumps cover different runs")
         return 1
     counts: collections.Counter = collections.Counter()
+    transitions: collections.Counter = collections.Counter()
     for (name, verb, rc, out, err), (_, _, rc2, out2, err2) in zip(old, new):
         same = (rc, out, err) == (rc2, out2, err2)
         counts[verb, "identical" if same else "different"] += 1
         if not same:
-            print(f"DIFF {name} {verb}: exit {rc} -> {rc2}")
+            mark = " (stderr only)" if (rc, out) == (rc2, out2) else ""
+            transitions[verb, f"{rc}->{rc2}{mark}"] += 1
+            print(f"DIFF {name} {verb}: exit {rc} -> {rc2}{mark}")
             removed, added = line_changes(out, out2)
             for sign, lines in (("-", removed), ("+", added)):
                 if lines:
                     print(f"  {sign}{len(lines)} stdout lines, first: {lines[0]}")
     for key in sorted(counts):
         print(*key, counts[key], sep="\t")
+    if transitions:
+        print("exit-code transitions of the differing runs:")
+    for (verb, change), n in sorted(transitions.items()):
+        print(f"  {verb} {change}: {n}")
     differ = sum(n for (_, kind), n in counts.items() if kind == "different")
     print(f"{len(old)} runs, {differ} differences")
     return 1 if differ else 0

@@ -465,7 +465,7 @@ def minimize(machine) -> Dfao:
 
 @lru_cache(maxsize=None)
 def _minimize(dfao: Dfao) -> Dfao:
-    rep, block = _partition(
+    rep, block, _ = _partition(
         dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg
     )
     return replace(
@@ -484,14 +484,18 @@ def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, 
     """Moore refinement of a machine's structure, which leaves out its labels.
 
     Returns ``rep``, the first state of each block along :func:`_reachable_order`
-    (block b becomes state b), and ``block``, the block of every reachable
-    state.  Machines that differ only in their labels share one run.
+    (block b becomes state b), ``block``, the block of every reachable state,
+    and the number of rounds that split a block.  After r such rounds two
+    states share a block exactly when no digit word of length <= r leads them
+    to different outputs.  Machines that differ only in their labels share one
+    run.
     """
     states = _reachable_order(delta, initial_nonneg, initial_neg)
     if out_neg is None:
         out_neg = (-1,) * len(delta)
     block: list = list(zip(out_nonneg, out_neg))  # round 0: each state's output pair
     count = len({block[s] for s in states})
+    rounds = 0
     while True:
         # each round numbers the blocks by first appearance along ``states``
         signatures: dict[tuple, int] = {}
@@ -504,11 +508,12 @@ def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, 
         if len(signatures) == count:
             break
         count = len(signatures)
+        rounds += 1
     rep: list[int] = []
     for s in states:
         if block[s] == len(rep):
             rep.append(s)
-    return tuple(rep), tuple(block)
+    return tuple(rep), tuple(block), rounds
 
 
 def _reachable_order(delta, initial_nonneg: int, initial_neg: int | None) -> list[int]:

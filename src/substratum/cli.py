@@ -204,11 +204,7 @@ def cmd_check(args) -> int:
     report("digit round-trip", ok)
 
     simplified, exponent = sub.simplify()
-    report(
-        f"simplify (exponent {exponent})",
-        simplified.column(0).is_idempotent()
-        and simplified.column(simplified.length - 1).is_idempotent(),
-    )
+    report(f"simplify (exponent {exponent})", simplified.is_simplified())
 
     if sub.seed is None:
         print("note: no seed given; machine and kernel checks skipped")
@@ -282,13 +278,12 @@ def cmd_check(args) -> int:
     # u is fixed by theta^p_r, so u[L*n + r] is column r of theta^p_r at u[n], L = ell^p_r
     fixed = sub.power(p_r) if p_r > 1 else sub
     length = 4 * sub.length**2
-    word = sub.fixed_point_window(0, length * fixed.length)
-    ok = True
-    for r in range(fixed.length):
-        col = fixed.column(r)
-        for n in range(length):
-            if word[fixed.length * n + r] != sub.alphabet[col.table[sub.alphabet.index(word[n])]]:
-                ok = False
+    letters = window_for_range(sub, 0, length * fixed.length - 1).letters  # u_0 onwards
+    ok = all(
+        letters[fixed.length * n + r] == col.table[letters[n]]
+        for r, col in enumerate(fixed.columns())
+        for n in range(length)
+    )
     report("subsequence/column duality", ok)
 
     try:

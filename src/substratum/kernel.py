@@ -8,15 +8,16 @@ state, with its least witness (e, j).  Samples come from one table walk over
 that machine: the state reached by the digits of n is tabulated for all
 states at once, so sample n of every element is a lookup.  The brute-force
 variant extracts subsequences straight from an expanded window and counts
-distinct contents, giving a lower bound that must stabilize at the symbolic
-count as the window grows.
+distinct contents.  Its window is wide enough for every pair of distinct
+minimal states to differ inside it, so within the budget it counts exactly
+the minimal states within e_max digits of the start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automata import build_reverse_semigroup, minimize
+from .automata import _partition, build_reverse_semigroup, minimize
 from .errors import WindowTooShort
 from .oracle import Window, window_for_range
 from .substitution import ColumnMap, Substitution
@@ -24,7 +25,7 @@ from .substitution import ColumnMap, Substitution
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
 SAMPLE_LENGTH = 16  # entries of each kernel element's sample
-MIN_LENGTH = 4  # least entries per subsequence in a brute-force count
+MIN_LENGTH = 4  # floor on the entries per subsequence in a brute-force count
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,20 @@ class KernelElement:
         return (self.e, self.j)
 
 
+def _side_machine(sub: Substitution, side: str):
+    """The reverse machine, its DFAO for ``side`` and that side's seed period.
+
+    The one-sided DFAO is the machine with its negative side dropped.
+    """
+    if side not in (ONE_SIDED, TWO_SIDED):
+        raise ValueError(f"side must be {ONE_SIDED!r} or {TWO_SIDED!r}")
+    sub.require_seed()
+    machine = build_reverse_semigroup(sub)
+    if side == ONE_SIDED:
+        return machine, replace(machine.dfao, initial_neg=None, out_neg=None), sub.seed_periods()[0]
+    return machine, machine.dfao, machine.period
+
+
 def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelElement, ...]:
     """All distinct kernel subsequences: the states of the minimal reverse machine.
 
@@ -49,14 +64,7 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     column map and word-length phase of its witness state in the unminimised
     machine, and the first ``SAMPLE_LENGTH`` entries of its subsequence.
     """
-    if side not in (ONE_SIDED, TWO_SIDED):
-        raise ValueError(f"side must be {ONE_SIDED!r} or {TWO_SIDED!r}")
-    sub.require_seed()
-    machine = build_reverse_semigroup(sub)
-    dfao, period = machine.dfao, machine.period
-    if side == ONE_SIDED:
-        dfao = replace(dfao, initial_neg=None, out_neg=None)
-        period = sub.seed_periods()[0]
+    machine, dfao, period = _side_machine(sub, side)
     minimal = minimize(dfao)
     ell = sub.length
 
@@ -110,9 +118,10 @@ class BruteForceKernel:
 def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel:
     """Count distinct subsequences (u_{ell^e n + j}), e <= e_max, inside a window.
 
-    Every subsequence is sampled over the same centered index range so the
-    contents are comparable; the range must keep at least ``MIN_LENGTH``
-    entries at depth ``e_max``.
+    Every subsequence is sampled over the same index range n so the contents
+    are comparable: centered on 0, or from 0 when the window has no negative
+    side.  The range must keep at least ``MIN_LENGTH`` entries at depth
+    ``e_max``.
     """
     step_max = ell**e_max
     two_sided = window.lo < 0
@@ -133,21 +142,28 @@ def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel
         sample_range = range(0, count)
 
     letters = window.letters
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     for e in range(e_max + 1):
         step = ell**e
         for j in range(step):
             first = step * sample_range.start + j - window.lo  # offset of the first term
-            seen.add(tuple(letters[first : first + step * len(sample_range) : step]))
+            seen.add(letters[first : first + step * len(sample_range) : step].tobytes())
     return BruteForceKernel(count=len(seen))
 
 
 def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED) -> BruteForceKernel:
-    """Convenience wrapper: expand a window large enough for the given depth."""
-    span = sub.length**e_max * 8
-    if side == ONE_SIDED:
-        window = window_for_range(sub, 0, span)
-        window = Window(window.alphabet, 0, window.hi, window.letters[-window.lo :])
-    else:
-        window = window_for_range(sub, -span, span)
+    """Brute-force count to depth ``e_max`` over a window that separates every element.
+
+    With R the splitting rounds of the Moore refinement of the side's reverse
+    machine, two distinct minimal states differ on a digit word of length
+    <= R, whose value lies in [-ell^R, ell^R) (in [0, ell^R) one-sided).  So
+    every subsequence is sampled over at least that range, and at least
+    ``MIN_LENGTH`` entries.  R comes from the symbolic side; a wrong R could
+    only make the count too small.
+    """
+    dfao = _side_machine(sub, side)[1]
+    structure = (dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg)
+    rounds = _partition(*structure)[2]  # the run that minimizing this machine made
+    span = sub.length**e_max * max(sub.length**rounds, MIN_LENGTH)
+    window = window_for_range(sub, 0 if side == ONE_SIDED else -span, span - 1)
     return brute_force_kernel(window, sub.length, e_max)

@@ -1,9 +1,11 @@
 """Brute-force ground truth: expanded fixed-point windows and progression sampling.
 
 Everything here works directly on expanded words, never on automata, so it can
-serve as the independent check for the symbolic constructions.  Windows hold
-letter ordinals in an ``array``, one byte per letter up to 256 letters, built
-by block substitution; progressions are walked on those and named at the end.
+serve as the independent check for the symbolic constructions.  Every window
+comes from :func:`window_for_range`, which alone decides how far each side of
+the fixed point is expanded.  Windows hold letter ordinals in an ``array``,
+one byte per letter up to 256 letters, built by block substitution;
+progressions are walked on those and named at the end.
 A singleton progression sample is only evidence of periodicity (bounded
 window); observing two letters is a certificate of aperiodicity at that step.
 """
@@ -61,38 +63,68 @@ class Window:
 
 
 def expand(sub: Substitution, generations: int) -> Window:
-    """Window covering at least [-ell^g, ell^g - 1], by substituting the seed.
+    """``window_for_range(sub, -ell^g, ell^g - 1)``.
 
-    When the seed letters are merely periodic (not fixed) under the end
-    columns, generations are rounded up to the seed period p = lcm(p_r, p_l)
-    on both sides, although each side would anchor at a multiple of its own
-    period: the window stays symmetric and its extent depends on g and p
-    alone, and so do the progression samples and brute-force counts read off
-    it.  Each side is theta^g of its seed letter from one block substitution,
-    so the cost is one join of about 2*ell^g bytes plus a Python-level loop
-    over about |A|*ell^(g/2) letters.
+    For g a multiple of ``seed_period()`` each side is theta^g of its seed
+    letter, so the window is exactly [-ell^g, ell^g - 1]; otherwise a side
+    grows to the next multiple of its own seed period.
     """
     if generations < 1:
         raise Overflow("need at least one generation")
-    a_l, a_r = sub.require_seed()
-    p = sub.seed_period()
-    g = generations
-    if g % p:
-        g += p - g % p
-    limit = word_budget()
-    if sub.length**g > limit:
-        raise Overflow(f"window of length 2*{sub.length}^{g} exceeds budget {limit}")
-    left = sub._substitute(a_l, g, limit)
-    return Window(sub.alphabet, -len(left), len(left) - 1, left + sub._substitute(a_r, g, limit))
+    reach = sub.length**generations
+    return window_for_range(sub, -reach, reach - 1)
 
 
 def window_for_range(sub: Substitution, lo: int, hi: int) -> Window:
-    """Smallest expand() window containing [lo, hi]."""
-    need = max(abs(lo), abs(hi) + 1, sub.length)
-    g = 1
-    while sub.length**g < need:
-        g += 1
-    return expand(sub, g)
+    """The one window builder: u over at least [lo, hi], by block substitution.
+
+    A side is expanded only when [lo, hi] reaches it: indices >= 0 are
+    theta^g(a_r) and indices < 0 end in theta^g(a_l), with g the least
+    positive multiple of that side's own seed period (p_r or p_l) for which
+    ell^g covers the range.  At such g, theta^g(a_r) begins with a_r and
+    theta^g(a_l) ends with a_l, so each is a stretch of its side of the fixed
+    point.  A side the range does not reach stays empty.  Both sides are
+    sized against the budget, the left first, before either is built.
+    """
+    seeds = sub.require_seed()
+    p_r, p_l = sub.seed_periods()
+    ell, limit = sub.length, word_budget()
+    generations = []
+    for period, need in ((p_l, -lo), (p_r, hi + 1)):
+        g = 0
+        if need > 0:
+            g = period
+            while ell**g < need:
+                g += period
+            if ell**g > limit:
+                raise Overflow(f"window of length 2*{ell}^{g} exceeds budget {limit}")
+        generations.append(g)
+    typecode = "B" if len(sub.alphabet) <= 256 else "I"
+    left, right = (
+        _substitute(sub, letter, g, typecode) if g else array(typecode)
+        for letter, g in zip(seeds, generations)
+    )
+    return Window(sub.alphabet, -len(left), len(right) - 1, left + right)
+
+
+def _substitute(sub: Substitution, letter: int, generations: int, typecode: str) -> array:
+    """theta^g(letter) as an array of ordinals, by block substitution.
+
+    With h = g // 2, the theta^h image of every letter is built once as a
+    bytes block; theta^(g-h)(letter) is then substituted letter by letter and
+    its letters replaced by their blocks in one join.  The Python-level loop
+    visits about |A|*ell^h + ell^(g-h) letters instead of ell^g.
+    """
+    blocks = [array(typecode, (a,)).tobytes() for a in range(len(sub.alphabet))]
+    half = generations // 2
+    for _ in range(half):
+        blocks = [b"".join(map(blocks.__getitem__, rule)) for rule in sub.rules]
+    word = [letter]
+    for _ in range(generations - half):
+        word = [o for x in word for o in sub.rules[x]]
+    out = array(typecode)
+    out.frombytes(b"".join(map(blocks.__getitem__, word)))
+    return out
 
 
 def sample_progression(

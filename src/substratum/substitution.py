@@ -2,16 +2,15 @@
 
 Words are stored as tuples of letter ordinals; symbols are interned into the
 alphabet once at construction time.  All types are immutable and hashable, so
-every derived quantity can be cached and shared freely across threads.  The
-one exception is the block-substitution routine behind fixed-point windows:
-it returns ``array`` words of ordinals, one byte per letter up to 256 letters.
+every derived quantity can be cached and shared freely across threads.  This
+module holds the rules and their invariants only; expanded fixed-point windows
+are built by :mod:`substratum.oracle`.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -116,9 +115,6 @@ class ColumnMap:
         for _ in range(k):
             out = self.compose(out)
         return out
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.table)
 
     def image_size(self) -> int:
         return len(set(self.table))
@@ -322,57 +318,6 @@ class Substitution:
     def seed_period(self) -> int:
         p_r, p_l = self.seed_periods()
         return math.lcm(p_r, p_l)
-
-    def fixed_point_window(self, lo: int, hi: int) -> tuple[str, ...]:
-        """Letters u_lo .. u_hi of the two-sided fixed point, as symbols."""
-        word = self._window_ords(lo, hi)
-        return tuple(self.alphabet[o] for o in word)
-
-    def _window_ords(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Ordinals u_lo .. u_hi; each side is expanded only when the window
-        reaches it, in multiples of its own seed period."""
-        if lo > hi:
-            raise DigitOutOfRange(f"empty window {lo}..{hi}")
-        a_l, a_r = self.require_seed()
-        limit = word_budget()
-        p_r, p_l = self.seed_periods()
-        word: tuple[int, ...] = ()
-        if lo < 0:
-            left = self._substitute(a_l, self._generations(-lo, p_l), limit)
-            word = tuple(left[len(left) + lo : len(left) + min(hi + 1, 0)])
-        if hi >= 0:
-            right = self._substitute(a_r, self._generations(hi + 1, p_r), limit)
-            word += tuple(right[max(lo, 0) : hi + 1])
-        return word
-
-    def _generations(self, need: int, period: int) -> int:
-        """Least multiple g of ``period`` with ell^g >= need."""
-        g = 0
-        while self.length**g < need:
-            g += period
-        return g
-
-    def _substitute(self, letter: int, generations: int, limit: int) -> array:
-        """theta^g(letter) as an array of ordinals, by block substitution.
-
-        With h = g // 2, the theta^h image of every letter is built once as a
-        bytes block; theta^(g-h)(letter) is then substituted letter by letter
-        and its letters replaced by their blocks in one join.  The Python-level
-        loop visits about |A|*ell^h + ell^(g-h) letters instead of ell^g.
-        """
-        if self.length**generations > limit:
-            raise Overflow(f"substituted word would exceed budget {limit}")
-        typecode = "B" if len(self.alphabet) <= 256 else "I"
-        blocks = [array(typecode, (a,)).tobytes() for a in range(len(self.alphabet))]
-        half = generations // 2
-        for _ in range(half):
-            blocks = [b"".join(map(blocks.__getitem__, rule)) for rule in self.rules]
-        word = [letter]
-        for _ in range(generations - half):
-            word = [o for x in word for o in self.rules[x]]
-        out = array(typecode)
-        out.frombytes(b"".join(map(blocks.__getitem__, word)))
-        return out
 
     def occurring_letters(self) -> frozenset[int]:
         """Ordinals of letters that occur in the fixed point."""

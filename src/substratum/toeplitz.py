@@ -22,9 +22,9 @@ from functools import lru_cache
 
 from . import digits as digitmod
 from .automata import SemigroupAutomaton, build_reverse_semigroup
-from .errors import NontrivialHeight, NotToeplitz
-from .oracle import expand, sample_progression
-from .substitution import ColumnMap, Substitution
+from .errors import NontrivialHeight, NotToeplitz, Overflow
+from .oracle import sample_progression, window_for_range
+from .substitution import ColumnMap, Substitution, word_budget
 
 PERIODIC = "periodic"
 APERIODIC = "aperiodic"
@@ -171,8 +171,12 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
     level deeper, nearly every class holds one index, so it would cost a node
     per index and spare few walks.  Every level reached has ell^k <= hi - lo,
     so each of its classes holds an index.  The result equals
-    ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.
+    ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.  A range of
+    more indices than the budget is refused before any work.
     """
+    width, limit = hi - lo + 1, word_budget()
+    if width > limit:
+        raise Overflow(f"range of {width} indices exceeds budget {limit}")
     g = gate(sub)
     ell = sub.length
     delta, maps, constant = g.machine.dfao.delta, g.machine.state_maps, g.constant
@@ -226,15 +230,16 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
 
     With ``certify`` the verdicts are cross-checked against windowed
     progressions: a periodic index must show a single letter at its step
-    within a window of length >= ell^(k+3); an aperiodic one must show two
-    letters at every step ell^k, k <= ``CERTIFY_DEPTH``.  Periodic verdicts
-    are certified one class at a time: those sharing period P, residue mod P
-    and letter are checked by one strided slice of the window from
-    ``2*ell^3`` steps before the first to ``2*ell^3`` steps after the last,
-    which holds every term their samples would examine.  When the slice shows
-    only the claimed letter the whole class passes; otherwise each member is
-    sampled on its own, so the report, inconsistencies and their order
-    included, is the one the per-index samples give.
+    within a window that covers the range and [-ell^(K+3), ell^(K+3) - 1], K
+    the largest periodic exponent or ``CERTIFY_DEPTH`` if larger; an aperiodic
+    one must show two letters at every step ell^k, k <= ``CERTIFY_DEPTH``.
+    Periodic verdicts are certified one class at a time: those sharing period
+    P, residue mod P and letter are checked by one strided slice of the window
+    from ``2*ell^3`` steps before the first to ``2*ell^3`` steps after the
+    last, which holds every term their samples would examine.  When the slice
+    shows only the claimed letter the whole class passes; otherwise each
+    member is sampled on its own, so the report, inconsistencies and their
+    order included, is the one the per-index samples give.
     """
     verdicts = decide_range(sub, lo, hi)  # gates the substitution first
     aperiodic = tuple(v.index for v in verdicts if v.status == APERIODIC)
@@ -244,11 +249,8 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
     inconsistencies: list[str] = []
     if certify:
         max_expo = max((v.exponent for v in verdicts if v.is_periodic()), default=0)
-        max_expo = max(max_expo, CERTIFY_DEPTH)
-        gens = max_expo + 3  # window length 2*ell^gens >= ell^(k+3) for every verdict
-        while sub.length**gens < max(abs(lo), abs(hi) + 1):
-            gens += 1
-        window = expand(sub, gens)
+        reach = sub.length ** (max(max_expo, CERTIFY_DEPTH) + 3)  # >= ell^(k+3) for every verdict
+        window = window_for_range(sub, min(lo, -reach), max(hi, reach - 1))
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
         periodic_terms = 2 * sub.length**3

@@ -48,6 +48,18 @@ def periodic_right_seed():
 
 
 @pytest.fixture(scope="session")
+def coprime_seed_periods():
+    """Seed a·c with periods 3 (right) and 5 (left) over base 4: a window
+    grown on both sides in steps of lcm = 15 would need 4^15 letters a side."""
+    return Substitution.from_parts(
+        list("abcde"),
+        4,
+        {"a": "ddae", "b": "badc", "c": "abed", "d": "cada", "e": "dbeb"},
+        seed=["a", "c"],
+    )
+
+
+@pytest.fixture(scope="session")
 def height_two():
     """Periodic fixed point ababab... with ell = 3, so the height is 2."""
     return Substitution.from_parts(["a", "b"], 3, {"a": "aba", "b": "bab"}, seed=["b", "a"])

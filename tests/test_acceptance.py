@@ -151,7 +151,8 @@ def test_criterion_8_property_suites(pd, pd2, bigdiag):
 
         # subsequence/column duality on a window of length >= 4096
         half = 2048
-        word = pd2.fixed_point_window(-half * 4, half * 4 + 3)
+        window = window_for_range(pd2, -half * 4, half * 4 + 3)
+        word = tuple(map(window.letter, range(-half * 4, half * 4 + 4)))
         offset = half * 4
         for r in range(4):
             col = pd2.column(r)
@@ -169,9 +170,9 @@ def test_criterion_8_property_suites(pd, pd2, bigdiag):
         for sub in (pd2, bigdiag):
             p = sub.seed_period()
             factor = sub.length**p
-            window = sub.fixed_point_window(-9, 9)
-            ords = [sub.alphabet.index(s) for s in window]
+            window = window_for_range(sub, -9, 9)
+            ords = [window[n] for n in range(-9, 10)]
             for _ in range(p):
                 ords = list(sub.apply(ords))
-            expanded = sub.fixed_point_window(-9 * factor, 9 * factor + factor - 1)
-            assert tuple(sub.alphabet[o] for o in ords) == expanded
+            expanded = window_for_range(sub, -9 * factor, 9 * factor + factor - 1)
+            assert ords == [expanded[n] for n in range(-9 * factor, 9 * factor + factor)]

@@ -468,7 +468,8 @@ def test_equivalent_across_readings_is_exact(pd, pd2, bigdiag):
     flipped = replace(direct, out_nonneg=tuple(1 - o for o in direct.out_nonneg))
     result = equivalent(flipped, build_reverse_semigroup(pd2))
     assert not result.equal
-    assert flipped.run(result.witness) != pd2.fixed_point_window(result.witness, result.witness)[0]
+    window = window_for_range(pd2, result.witness, result.witness)
+    assert flipped.run(result.witness) != window.letter(result.witness)
 
 
 def test_equivalent_across_readings_finds_a_deep_witness():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from substratum import (
@@ -12,6 +14,7 @@ from substratum import (
     expand,
     minimize,
     reverse_and_determinize,
+    window_for_range,
 )
 
 
@@ -104,6 +107,44 @@ def test_brute_force_matches_enumeration(pd, pd2, thue_morse):
         assert brute_force_kernel_for(sub, depth).count == len(enumerate_kernel(sub))
 
 
+def minimal_states_within(sub, side, depth):
+    """States of the side's minimal reverse machine within ``depth`` digits of the start."""
+    dfao = build_reverse_semigroup(sub).dfao
+    if side == "one-sided":
+        dfao = replace(dfao, initial_neg=None, out_neg=None)
+    minimal = minimize(dfao)
+    reached = frontier = {minimal.initial_nonneg}
+    for _ in range(depth):
+        frontier = {t for s in frontier for t in minimal.delta[s]} - reached
+        reached = reached | frontier
+    return len(reached)
+
+
+def test_two_sided_brute_force_count_is_the_kernel(fixtures, corpus):
+    # the six-letter input, last of the fixtures, needs a window beyond the budget
+    *within_budget, six_letter = fixtures
+    for sub in within_budget + [entry.sub for entry in corpus.machine_corpus(1)[:60]]:
+        kernel = enumerate_kernel(sub)
+        depth = max(el.e for el in kernel) or 1
+        assert brute_force_kernel_for(sub, depth).count == len(kernel), str(sub)
+    with pytest.raises(Overflow):
+        brute_force_kernel_for(six_letter, max(el.e for el in enumerate_kernel(six_letter)))
+
+
+def test_one_sided_brute_force_counts_the_minimal_states_within_depth(fixtures, random_inputs, corpus):
+    subs = fixtures[:-1] + random_inputs[:20] + [entry.sub for entry in corpus.machine_corpus(1)[:60]]
+    for sub in subs:
+        for depth in (1, 2):
+            expected = minimal_states_within(sub, "one-sided", depth)
+            assert brute_force_kernel_for(sub, depth, side="one-sided").count == expected, str(sub)
+
+
+def test_brute_force_count_with_coprime_seed_periods(coprime_seed_periods):
+    # its seed periods 3 and 5 once made this window overflow at 2*4^15 letters
+    assert brute_force_kernel_for(coprime_seed_periods, 2).count == 21
+    assert minimal_states_within(coprime_seed_periods, "two-sided", 2) == 21
+
+
 def per_index_brute_force_count(window, ell, e_max, sample_range):
     """Distinct subsequences read one index at a time: the reference."""
     steps = [ell**e for e in range(e_max + 1)]
@@ -137,7 +178,8 @@ def test_brute_force_window_too_short(pd2):
 def test_lambda_theta_duality_two_sided(pd2):
     # subsequence with step ell and offset r equals the r-th column applied letterwise
     half = 2048
-    word = pd2.fixed_point_window(-half * 4, half * 4 + 3)
+    window = window_for_range(pd2, -half * 4, half * 4 + 3)
+    word = tuple(map(window.letter, range(-half * 4, half * 4 + 4)))
     offset = half * 4
     for r in range(pd2.length):
         col = pd2.column(r)
@@ -148,7 +190,8 @@ def test_lambda_theta_duality_two_sided(pd2):
 
 def test_lambda_theta_duality_right_side(bigdiag):
     length = 2187
-    word = bigdiag.fixed_point_window(0, 3 * length + 2)
+    window = window_for_range(bigdiag, 0, 3 * length + 2)
+    word = tuple(map(window.letter, range(3 * length + 3)))
     for r in range(bigdiag.length):
         col = bigdiag.column(r)
         for n in range(length):

@@ -6,9 +6,7 @@ from substratum import (
     IndexOutOfWindow,
     Overflow,
     Substitution,
-    Window,
-    brute_force_kernel,
-    brute_force_kernel_for,
+    build_direct,
     expand,
     sample_progression,
     window_for_range,
@@ -124,21 +122,34 @@ def test_sample_progression_matches_the_letter_walk(bigdiag, pd2):
             assert sample_progression(window, n, step, max_terms, stop_at) == expected
 
 
+def _generations(sub, period, need):
+    """The least positive multiple g of ``period`` with ell^g >= need."""
+    g = period
+    while sub.length**g < need:
+        g += period
+    return g
+
+
+def _image(sub, letter, generations):
+    """theta^g(letter) by the per-generation tuple loop."""
+    word = (letter,)
+    for _ in range(generations):
+        word = sub.apply(word)
+    return word
+
+
 def _expand_by_steps(sub, generations):
     """The per-generation tuple loop that expand's block substitution must
-    match: (lo, hi, letters) or the Overflow message."""
+    match, each side grown to the least multiple of its own seed period that
+    is >= g: (lo, hi, letters) or the Overflow message."""
     a_l, a_r = sub.require_seed()
-    p = sub.seed_period()
-    g = generations
-    if g % p:
-        g += p - g % p
+    p_r, p_l = sub.seed_periods()
     limit = word_budget()
-    if sub.length**g > limit:
-        return f"window of length 2*{sub.length}^{g} exceeds budget {limit}"
-    left, right = (a_l,), (a_r,)
-    for _ in range(g):
-        left = sub.apply(left)
-        right = sub.apply(right)
+    g_l, g_r = (_generations(sub, p, sub.length**generations) for p in (p_l, p_r))
+    for g in (g_l, g_r):
+        if sub.length**g > limit:
+            return f"window of length 2*{sub.length}^{g} exceeds budget {limit}"
+    left, right = _image(sub, a_l, g_l), _image(sub, a_r, g_r)
     return -len(left), len(right) - 1, left + right
 
 
@@ -178,17 +189,38 @@ def test_expand_wide_alphabet_uses_four_byte_letters():
     window = expand(sub, 6)
     assert window.letters.typecode == "I" and max(window.letters) > 255
     assert _expand_outcome(sub, 6) == _expand_by_steps(sub, 6)
-    assert sub.fixed_point_window(-300, 300) == tuple(window.letter(n) for n in range(-300, 301))
+    narrow = window_for_range(sub, -300, 300)
+    assert [narrow[n] for n in range(-300, 301)] == [window[n] for n in range(-300, 301)]
 
 
-def test_one_sided_brute_force_counts_unchanged(fixtures, random_inputs):
-    for sub in fixtures + random_inputs[:20]:
-        for e_max in (1, 2):
-            span = sub.length**e_max * 8
-            g = 1
-            while sub.length**g < max(span + 1, sub.length):  # window_for_range(sub, 0, span)
-                g += 1
-            lo, hi, letters = _expand_by_steps(sub, g)
-            one_sided = Window(sub.alphabet, 0, hi, letters[-lo:])
-            reference = brute_force_kernel(one_sided, sub.length, e_max)
-            assert brute_force_kernel_for(sub, e_max, side="one-sided") == reference
+def test_window_sides_are_seed_images_at_their_own_period(fixtures, random_inputs):
+    subs = [sub for sub in fixtures + random_inputs if len(set(sub.seed_periods())) == 2]
+    assert len(subs) >= 10
+    for sub in subs:
+        a_l, a_r = sub.seed
+        p_r, p_l = sub.seed_periods()
+        direct = build_direct(sub)
+        for lo, hi in ((-40, -1), (0, 40), (-1, 0), (-100, 30)):
+            window = window_for_range(sub, lo, hi)
+            left = _image(sub, a_l, _generations(sub, p_l, -lo)) if lo < 0 else ()
+            right = _image(sub, a_r, _generations(sub, p_r, hi + 1)) if hi >= 0 else ()
+            assert (window.lo, window.hi) == (-len(left), len(right) - 1), str(sub)
+            assert tuple(window.letters) == left + right, str(sub)
+            word = direct.run_range(window.lo, window.hi)
+            assert word == tuple(map(window.letter, range(window.lo, window.hi + 1))), str(sub)
+
+
+def test_expand_at_multiples_of_the_seed_period_is_symmetric(fixtures, random_inputs):
+    # the benchmark's checks expand at multiples of seed_period() only
+    compared = 0
+    for sub in fixtures + random_inputs:
+        a_l, a_r = sub.seed
+        p = sub.seed_period()
+        for g in (p, 2 * p):
+            if sub.length**g > 5000:
+                continue
+            window = expand(sub, g)
+            assert (window.lo, window.hi) == (-(sub.length**g), sub.length**g - 1)
+            assert tuple(window.letters) == _image(sub, a_l, g) + _image(sub, a_r, g)
+            compared += p > 1
+    assert compared >= 10

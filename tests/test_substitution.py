@@ -15,9 +15,16 @@ from substratum import (
     UnknownLetter,
     build_direct,
     closure,
+    window_for_range,
 )
 from substratum.errors import InputError
 from substratum.substitution import word_budget
+
+
+def fixed_point(sub, lo, hi):
+    """Letters u_lo .. u_hi of the two-sided fixed point, as symbols."""
+    window = window_for_range(sub, lo, hi)
+    return tuple(map(window.letter, range(lo, hi + 1)))
 
 
 def test_validate_period_doubling():
@@ -127,14 +134,14 @@ def test_simplify_least_exponent(pd, bigdiag, thue_morse):
 
 
 def test_fixed_point_window_bigdiag(bigdiag):
-    assert "".join(bigdiag.fixed_point_window(0, 8)) == "acbbbabaa"
-    assert "".join(bigdiag.fixed_point_window(-1, 0)) == "ba"
-    assert "".join(bigdiag.fixed_point_window(-9, -1)) == "baaacbacb"
+    assert "".join(fixed_point(bigdiag, 0, 8)) == "acbbbabaa"
+    assert "".join(fixed_point(bigdiag, -1, 0)) == "ba"
+    assert "".join(fixed_point(bigdiag, -9, -1)) == "baaacbacb"
 
 
 def test_fixed_point_window_pd2(pd2):
-    assert "".join(pd2.fixed_point_window(0, 3)) == "abaa"
-    assert "".join(pd2.fixed_point_window(-4, -1)) == "abaa"
+    assert "".join(fixed_point(pd2, 0, 3)) == "abaa"
+    assert "".join(fixed_point(pd2, -4, -1)) == "abaa"
 
 
 def test_fixed_point_substitution_invariance(pd2, bigdiag):
@@ -142,11 +149,11 @@ def test_fixed_point_substitution_invariance(pd2, bigdiag):
         p = sub.seed_period()
         factor = sub.length**p
         lo, hi = -7, 7
-        window = sub.fixed_point_window(lo, hi)
+        window = fixed_point(sub, lo, hi)
         ords = [sub.alphabet.index(s) for s in window]
         for _ in range(p):
             ords = list(sub.apply(ords))
-        expanded = sub.fixed_point_window(factor * lo, factor * hi + factor - 1)
+        expanded = fixed_point(sub, factor * lo, factor * hi + factor - 1)
         assert tuple(sub.alphabet[o] for o in ords) == expanded
 
 
@@ -220,7 +227,7 @@ def test_height_two(height_two):
 def _height_by_returns(sub):
     """The largest divisor, coprime to ell, of the gcd of return times of u_0
     over a window of at least 20000 letters: the oracle for height()."""
-    word = sub.fixed_point_window(0, 20000)
+    word = fixed_point(sub, 0, 20000)
     g = 0
     for k, letter in enumerate(word):
         if letter == word[0]:
@@ -281,7 +288,7 @@ def test_multicharacter_letters_use_array_rules():
         seed=["lo", "lo"],
     )
     assert sub.alphabet.word_str(sub.rules[0]) == "lo hi"
-    assert "".join(sub.fixed_point_window(0, 3)) == "lohilolo"
+    assert "".join(fixed_point(sub, 0, 3)) == "lohilolo"
 
 
 def test_seed_letter_must_exist():
@@ -297,19 +304,14 @@ def test_budget_env_override(pd, monkeypatch):
     assert pd.power(4).length == 16
 
 
-def test_window_sides_grow_by_their_own_seed_period():
+def test_window_sides_grow_by_their_own_seed_period(coprime_seed_periods):
     # periods 3 (right) and 5 (left): a window of 4^15 letters per side would
     # exceed the budget, while each side alone needs at most 4^6 letters here
-    sub = Substitution.from_parts(
-        list("abcde"),
-        4,
-        {"a": "ddae", "b": "badc", "c": "abed", "d": "cada", "e": "dbeb"},
-        seed=["a", "c"],
-    )
+    sub = coprime_seed_periods
     assert sub.seed_periods() == (3, 5)
     direct = build_direct(sub)
-    assert sub.fixed_point_window(0, 255) == direct.run_range(0, 255)
-    assert sub.fixed_point_window(-300, -1) == direct.run_range(-300, -1)
+    assert fixed_point(sub, 0, 255) == direct.run_range(0, 255)
+    assert fixed_point(sub, -300, -1) == direct.run_range(-300, -1)
 
 
 def test_word_budget_refuses_a_bad_setting(monkeypatch):

@@ -14,7 +14,6 @@ from substratum import (
     aperiodic_in_range,
     build_reverse_semigroup,
     decide_per,
-    expand,
     reduced_graph,
     sample_progression,
     to_digits,
@@ -151,7 +150,8 @@ def test_gate_aperiodicity_agrees_with_the_oracle(random_inputs):
     for sub in random_inputs:
         try:
             aperiodic = gate(sub).aperiodic
-            letters = bytes(sub._window_ords(-20000, 20000))
+            window = window_for_range(sub, -20000, 20000)
+            letters = bytes(window.letters[-20000 - window.lo : 20001 - window.lo])
         except SubstratumError:
             continue
         periodic_window = any(letters[p:] == letters[:-p] for p in range(1, len(letters) // 8))
@@ -390,6 +390,13 @@ def test_decide_range_matches_decide_per_on_random_inputs(random_inputs):
     assert admitted >= 10
 
 
+def test_decide_range_refuses_a_range_wider_than_the_budget(monkeypatch, pd2):
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "100")
+    with pytest.raises(Overflow, match="range of 101 indices exceeds budget 100"):
+        decide_range(pd2, -50, 50)
+    assert len(decide_range(pd2, -50, 49)) == 100
+
+
 def test_decide_range_on_a_far_range(bigdiag, pd):
     # each residue class holds at most three indices once 3^(k+1) > 50, so the
     # far indices take decide_per's walk; a descent that never stopped would not end
@@ -398,14 +405,11 @@ def test_decide_range_on_a_far_range(bigdiag, pd):
     assert decide_range(pd, -lo - 50, -lo) == per_index(pd, -lo - 50, -lo)
 
 
-def per_index_inconsistencies(sub, lo, hi, verdicts, expand=expand):
+def per_index_inconsistencies(sub, lo, hi, verdicts, build=window_for_range):
     """The certification loop that samples every verdict on its own: the reference."""
     max_expo = max((v.exponent for v in verdicts if v.is_periodic()), default=0)
-    max_expo = max(max_expo, CERTIFY_DEPTH)
-    gens = max_expo + 3
-    while sub.length**gens < max(abs(lo), abs(hi) + 1):
-        gens += 1
-    window = expand(sub, gens)
+    reach = sub.length ** (max(max_expo, CERTIFY_DEPTH) + 3)
+    window = build(sub, min(lo, -reach), max(hi, reach - 1))
     periodic_terms = 2 * sub.length**3
     inconsistencies = []
     for v in verdicts:
@@ -482,7 +486,7 @@ def test_certification_away_from_zero(pd, bigdiag, late_return):
 def test_certification_reads_every_sampled_term(monkeypatch, pd, bigdiag, late_return):
     # a wrong letter planted at the farthest term that the first or the last
     # member of a class samples must be reported as the per-index samples report it
-    real_expand = toeplitz.expand
+    real_build = toeplitz.window_for_range
     for sub in (pd, bigdiag, late_return):
         half = sub.length**3  # max_terms is 2*ell^3, read alternately on both sides
         verdicts = decide_range(sub, -200, 200)
@@ -490,14 +494,14 @@ def test_certification_reads_every_sampled_term(monkeypatch, pd, bigdiag, late_r
         last = next(v for v in reversed(verdicts) if v.is_periodic())
         for target in (first.index - (half - 1) * first.period, last.index + half * last.period):
 
-            def planted(sub, generations, target=target):
-                window = real_expand(sub, generations)
+            def planted(sub, lo, hi, target=target):
+                window = real_build(sub, lo, hi)
                 letters = array(window.letters.typecode, window.letters)
                 letters[target - window.lo] = (letters[target - window.lo] + 1) % len(sub.alphabet)
                 return Window(window.alphabet, window.lo, window.hi, letters)
 
-            monkeypatch.setattr(toeplitz, "expand", planted)
-            expected = per_index_inconsistencies(sub, -200, 200, verdicts, expand=planted)
+            monkeypatch.setattr(toeplitz, "window_for_range", planted)
+            expected = per_index_inconsistencies(sub, -200, 200, verdicts, build=planted)
             assert expected, (str(sub), target)  # the plant lies within a sample
             report = aperiodic_in_range(sub, -200, 200, certify=True)
             assert list(report.inconsistencies) == expected, (str(sub), target)
