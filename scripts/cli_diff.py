@@ -15,7 +15,8 @@ one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 table``, ``automaton --reading reverse --format table`` (unminimized: the
 orbit's state order and labels) and ``check`` in-process on the paper examples, on the six-letter
 ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde, e->abfb, f->eeba`` (seed
-a·a) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
+a·a), on the ℓ=4 input ``a->ddae, b->badc, c->abed, d->cada, e->dbeb``
+(seed a·c, seed periods 3 and 5) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
 ``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
 exit code, stdout, stderr) per run.  Run it once per checkout, each in a
 fresh interpreter.
@@ -79,6 +80,10 @@ def inputs(Substitution, corpus):
                 {"a": "abea", "b": "dcdc", "c": "aeee", "d": "ecde", "e": "abfb", "f": "eeba"},
                 "aa",
             ),
+        ),
+        (
+            "coprime-seed-periods",
+            parts("abcde", 4, {"a": "ddae", "b": "badc", "c": "abed", "d": "cada", "e": "dbeb"}, "ac"),
         ),
     ]
     for s in (1, 2):

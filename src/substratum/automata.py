@@ -15,15 +15,16 @@ carry that as padding applied by :meth:`Dfao.run`; reverse machines fold it
 into their states (a word-length phase) so that their outputs stay pinned to
 sequence values under arbitrary padding.
 
-Every closure of maps under composition in the package runs on
-:func:`_orbit`, a breadth-first search over plain int-tuple maps paired with
-that phase.  Reversing a direct machine is one such orbit (its states are the
-transition maps of digit words), and the semigroup-labelled reverse machine is
-that reversal of Cobham's direct machine, relabelled by column maps.  The
-orbit is memoized by value, so the reverse machine, the determinized reversal
-and the semigroup closures of one substitution share one run per period.
-Minimization likewise memoizes its Moore partition by the machine's structure
-without its labels, so the two reversals share one refinement.
+The reverse machine is the orbit of the identity under the columns (the
+memoized map-only closure of :mod:`substratum.semigroup`) times that phase:
+its states are the reachable pairs (orbit node, word length mod the seed
+period), walked breadth-first by the same budgeted loop.  Reversing a direct
+machine is that walk over the orbit of its transition columns, and the
+semigroup-labelled reverse machine is that reversal of Cobham's direct
+machine, relabelled by column maps, so both reversals, the semigroup
+closures and the structure semigroup of one substitution share one orbit.
+Minimization memoizes its Moore partition by the machine's structure without
+its labels, so the two reversals share one refinement.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .errors import (
     DigitOutOfRange,
     NoNegativeSide,
     SeedMissing,
-    StateExplosion,
     UnknownLetter,
 )
+from .semigroup import _breadth_first, _orbit
 from .substitution import ColumnMap, Substitution, word_budget
 
 DIRECT = "direct"
@@ -351,50 +352,20 @@ def build_reverse_semigroup(sub: Substitution) -> SemigroupAutomaton:
 @lru_cache(maxsize=None)
 def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
     """Keyed on the budget too, so a changed ``SUBSTRATUM_BUDGET`` applies."""
-    nodes, dfao = _determinize(build_direct(sub))
+    maps, states, dfao = _determinize(build_direct(sub))
     period = sub.seed_period()
-    maps = tuple(ColumnMap(sub.alphabet, f) for f, _ in nodes)
-    labels = tuple(
-        m.vector() if period == 1 else f"{m.vector()}@{phase}" for m, (_, phase) in zip(maps, nodes)
-    )
+    column_maps = [ColumnMap(sub.alphabet, f) for f in maps]
+    vectors = [m.vector() for m in column_maps]
+    labels = tuple(vectors[i] if period == 1 else f"{vectors[i]}@{phase}" for i, phase in states)
     return SemigroupAutomaton(
         dfao=replace(dfao, labels=labels),
-        state_maps=maps,
-        state_phases=tuple(phase for _, phase in nodes),
+        state_maps=tuple(column_maps[i] for i, _ in states),
+        state_phases=tuple(phase for _, phase in states),
         period=period,
     )
 
 
-# -- the closure engine and reversal by determinization ---------------------
-
-
-@lru_cache(maxsize=None)
-def _orbit(generators: tuple, start, period: int, limit: int):
-    """Breadth-first closure of ``start`` under right composition.
-
-    Nodes are ``(map, phase)`` pairs, the map an int tuple; generator g leads
-    from ``(f, p)`` to ``(f ∘ g, p + 1 mod period)``.  Returns the nodes,
-    numbered in discovery order, and the delta table over those numbers.
-    Memoized by value and keyed on the state budget ``limit``, so every
-    construction over one substitution and period reads one BFS run.
-    """
-    index = {start: 0}
-    nodes = [start]
-    delta = []
-    for f, phase in nodes:  # the list grows behind the cursor, like a queue
-        step = (phase + 1) % period
-        row = []
-        for g in generators:
-            child = (tuple(map(f.__getitem__, g)), step)
-            target = index.get(child)
-            if target is None:
-                if len(nodes) >= limit:
-                    raise StateExplosion(f"closure exceeds state budget {limit}")
-                target = index[child] = len(nodes)
-                nodes.append(child)
-            row.append(target)
-        delta.append(tuple(row))
-    return tuple(nodes), tuple(delta)
+# -- reversal by determinization -------------------------------------------
 
 
 def reverse_and_determinize(dfao: Dfao) -> Dfao:
@@ -406,27 +377,40 @@ def reverse_and_determinize(dfao: Dfao) -> Dfao:
     composed digit by digit.  Outputs evaluate that function at the original
     initial states (after completing the word-length phase pinned by the pads).
     """
-    return _determinize(dfao)[1]
+    return _determinize(dfao)[2]
 
 
 def _determinize(dfao: Dfao):
-    """The orbit nodes of :func:`reverse_and_determinize`, and its machine."""
+    """The orbit maps of the direct machine's columns, the states of
+    :func:`reverse_and_determinize` as (orbit node, phase) pairs, and its machine.
+
+    The states are the pairs reachable from (identity, 0), where digit d
+    leads from (i, phase) to (the orbit's d-child of i, phase + 1 mod the
+    period), numbered in breadth-first order with children in digit order.
+    """
     if dfao.reading != DIRECT:
         raise ValueError("reversal expects a direct-reading machine")
     two_sided = dfao.two_sided()
     period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if two_sided else 1)
-    generators = tuple(zip(*dfao.delta))
-    nodes, delta = _orbit(generators, (tuple(range(dfao.num_states)), 0), period, word_budget())
+    limit = word_budget()
+    maps, orbit_delta = _orbit(tuple(zip(*dfao.delta)), limit)
+
+    def successors(state):
+        node, phase = state
+        step = (phase + 1) % period
+        return [(t, step) for t in orbit_delta[node]]
+
+    states, delta = _breadth_first((0, 0), successors, limit)
 
     def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[int, ...]:
         anchors = [initial]
         for _ in range(pad - 1):
             anchors.append(dfao.delta[anchors[-1]][tail_digit])
-        return tuple(out[f[anchors[(-phase) % pad]]] for f, phase in nodes)
+        return tuple(out[maps[i][anchors[(-phase) % pad]]] for i, phase in states)
 
-    return nodes, Dfao(
+    return maps, states, Dfao(
         ell=dfao.ell,
-        labels=tuple(f"r{i}" for i in range(len(nodes))),
+        labels=tuple(f"r{i}" for i in range(len(states))),
         delta=delta,
         initial_nonneg=0,
         initial_neg=0 if two_sided else None,

@@ -235,6 +235,18 @@ def cmd_check(args) -> int:
     min_rev = minimize(reverse)
     report("minimize idempotent", minimize(min_rev).num_states == min_rev.num_states)
 
+    # the paper's construction gives a minimal machine; it needs primitivity
+    if sub.is_primitive():
+        machine = build_reverse_semigroup(simplified)
+        smallest = minimize(machine).num_states
+        report(
+            "semigroup machine of the simplified form is minimal",
+            smallest == machine.num_states,
+            f"{machine.num_states} states, {smallest} after minimize",
+        )
+    else:
+        print("note: not primitive; semigroup machine minimality skipped")
+
     elements = kernelmod.enumerate_kernel(sub)
     min_det = minimize(det)
     report(

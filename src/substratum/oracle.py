@@ -54,13 +54,6 @@ class Window:
     def word_str(self) -> str:
         return self.alphabet.word_str(self.letters)
 
-    def dump(self) -> str:
-        """Plain text with a caret under index 0 (single-char alphabets)."""
-        line = self.word_str()
-        if 0 in self and all(len(s) == 1 for s in self.alphabet):
-            return line + "\n" + " " * (-self.lo) + "^"
-        return line
-
 
 def expand(sub: Substitution, generations: int) -> Window:
     """``window_for_range(sub, -ell^g, ell^g - 1)``.

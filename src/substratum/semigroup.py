@@ -1,18 +1,20 @@
 """Transformation-semigroup machinery for the column maps of a substitution.
 
-The central object is the intersection, over all n, of the monoids generated
-by the columns of theta^n.  Both the plain closure and that intersection run
-on the orbit of the identity under right multiplication by the generators
-(the reverse machine's state graph): an element is a product of exactly k
-generators when a word of length k leads to it.  The sequence of those
-"products of exactly k" layers is eventually periodic in k, and an element
-survives every monoid in the chain precisely when it keeps reappearing at
-lengths divisible by the layer period.  The stabilizing exponent is the
-least n whose monoid equals that intersection; no exponent past the first
-stable multiple of the layer period needs to be tried.  The orbit is the
-memoized one of :mod:`substratum.automata`, so ``closure(sub.columns())``,
-:func:`structure_semigroup` and a reverse machine of seed period 1 read one
-breadth-first run.
+Every closure of maps under composition in the package runs on
+:func:`_orbit`: the orbit of the identity under right multiplication by the
+generators, a breadth-first search over plain int-tuple maps, memoized by
+value and by the state budget.  It is the reverse machine's map graph, so
+``closure(sub.columns())``, :func:`structure_semigroup`, the reverse machine
+and the determinized reversal of the direct machine read one run per
+substitution; :mod:`substratum.automata` adds the word-length phase on top.
+
+An element is a product of exactly k generators when a word of length k
+leads to it.  The sequence of those "products of exactly k" layers is
+eventually periodic in k, and an element survives every monoid in the chain
+of monoids generated by the columns of theta^n precisely when it keeps
+reappearing at lengths divisible by the layer period.  The stabilizing
+exponent is the least n whose monoid equals that intersection; no exponent
+past the first stable multiple of the layer period needs to be tried.
 """
 
 from __future__ import annotations
@@ -21,9 +23,41 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import _orbit
-from .errors import BadAlphabet
+from .errors import BadAlphabet, StateExplosion
 from .substitution import ColumnMap, Substitution, word_budget
+
+
+def _breadth_first(start, children, limit: int):
+    """Breadth-first closure of ``start`` under ``children``, which lists a
+    node's successors in edge order.
+
+    Returns the nodes, numbered in discovery order, and the delta table over
+    those numbers; raises :class:`StateExplosion` past ``limit`` nodes.
+    """
+    index = {start: 0}
+    nodes = [start]
+    delta = []
+    for node in nodes:  # the list grows behind the cursor, like a queue
+        row = []
+        for child in children(node):
+            target = index.get(child)
+            if target is None:
+                if len(nodes) >= limit:
+                    raise StateExplosion(f"closure exceeds state budget {limit}")
+                target = index[child] = len(nodes)
+                nodes.append(child)
+            row.append(target)
+        delta.append(tuple(row))
+    return tuple(nodes), tuple(delta)
+
+
+@lru_cache(maxsize=None)
+def _orbit(generators: tuple, limit: int):
+    """The identity's orbit under right composition: generator g leads from
+    the map f to f ∘ g, both int tuples, and node 0 is the identity.
+    Memoized by value and keyed on the state budget ``limit``."""
+    identity = tuple(range(len(generators[0])))
+    return _breadth_first(identity, lambda f: [tuple(map(f.__getitem__, g)) for g in generators], limit)
 
 
 @dataclass(frozen=True)
@@ -50,9 +84,8 @@ def closure(generators) -> SemigroupClosure:
     alphabet = given[0].alphabet
     if any(g.alphabet != alphabet for g in given):
         raise BadAlphabet("cannot compose maps over different alphabets")
-    identity = tuple(range(len(alphabet)))
-    nodes, delta = _orbit(tuple(g.table for g in given), (identity, 0), 1, word_budget())
-    tables = sorted({nodes[t][0] for row in delta for t in row})
+    nodes, delta = _orbit(tuple(g.table for g in given), word_budget())
+    tables = sorted({nodes[t] for row in delta for t in row})
     return SemigroupClosure(
         generators=tuple(sorted(set(given), key=lambda m: m.table)),
         elements=tuple(ColumnMap(alphabet, t) for t in tables),
@@ -78,8 +111,7 @@ class StructureSemigroup:
 def _layers(sub: Substitution):
     """Orbit nodes and the layer sequence P_k = P_{k-1} * columns, as sets of
     node ids, up to its first repeat; with its threshold and period."""
-    identity = tuple(range(len(sub.alphabet)))
-    nodes, delta = _orbit(tuple(zip(*sub.rules)), (identity, 0), 1, word_budget())
+    nodes, delta = _orbit(tuple(zip(*sub.rules)), word_budget())
     layers = [frozenset(delta[0])]  # layers[k] = products of exactly k+1 columns
     seen_at = {layers[0]: 1}
     while True:
@@ -122,6 +154,6 @@ def structure_semigroup(sub: Substitution) -> StructureSemigroup:
     elements = layer(k0) | {identity}
 
     return StructureSemigroup(
-        elements=tuple(ColumnMap(sub.alphabet, t) for t in sorted(nodes[i][0] for i in elements)),
+        elements=tuple(ColumnMap(sub.alphabet, t) for t in sorted(nodes[i] for i in elements)),
         stabilizing_exponent=next(n for n in range(1, k0 + 1) if monoid_at_exponent(n) == elements),
     )

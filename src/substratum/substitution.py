@@ -110,20 +110,11 @@ class ColumnMap:
             raise BadAlphabet("cannot compose maps over different alphabets")
         return ColumnMap(self.alphabet, tuple(self.table[o] for o in inner.table))
 
-    def iterate(self, k: int) -> "ColumnMap":
-        out = ColumnMap.identity(self.alphabet)
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
     def image_size(self) -> int:
         return len(set(self.table))
 
     def is_constant(self) -> bool:
         return self.image_size() == 1
-
-    def is_identity(self) -> bool:
-        return all(self.table[i] == i for i in range(len(self.table)))
 
     def is_idempotent(self) -> bool:
         return self.compose(self) == self
@@ -318,18 +309,6 @@ class Substitution:
     def seed_period(self) -> int:
         p_r, p_l = self.seed_periods()
         return math.lcm(p_r, p_l)
-
-    def occurring_letters(self) -> frozenset[int]:
-        """Ordinals of letters that occur in the fixed point."""
-        a_l, a_r = self.require_seed()
-        seen = {a_l, a_r}
-        while True:
-            new = set(seen)
-            for o in seen:
-                new.update(self.rules[o])
-            if new == seen:
-                return frozenset(seen)
-            seen = new
 
     # -- invariants ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from substratum import (
     pad,
     window_for_range,
 )
-from substratum import automata
+from substratum import automata, semigroup
 from substratum.automata import _reachable_order
 
 
@@ -142,13 +142,31 @@ def test_reverse_run_zero_is_right_seed(pd2, bigdiag):
         assert machine.run(-1) == sub.alphabet[sub.seed[0]]
 
 
-def test_reverse_semigroup_labels_cover_generated_monoid(bigdiag):
-    from substratum import ColumnMap, closure
+def test_reverse_semigroup_labels_cover_generated_monoid(fixtures, coprime_seed_periods):
+    from substratum import ColumnMap
 
+    periods = set()
+    for sub in fixtures + [coprime_seed_periods]:
+        machine = build_reverse_semigroup(sub)
+        monoid = closure(list(sub.columns()) + [ColumnMap.identity(sub.alphabet)])
+        # the states project onto the orbit's maps, one state per (map, phase)
+        assert set(machine.state_maps) == set(monoid.elements), str(sub)
+        pairs = list(zip(machine.state_maps, machine.state_phases))
+        assert len(set(pairs)) == len(pairs) == machine.num_states, str(sub)
+        periods.add(machine.period)
+    assert {1, 2, 15} <= periods
+
+
+def test_state_budget_counts_machine_states_not_maps(bigdiag, monkeypatch):
+    # bigdiag has 24 orbit maps and, at seed period 2, 48 machine states
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "24")
+    closure(bigdiag.columns())
+    with pytest.raises(StateExplosion, match="closure exceeds state budget 24"):
+        build_reverse_semigroup(bigdiag)
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "48")
+    closure(bigdiag.columns())
     machine = build_reverse_semigroup(bigdiag)
-    monoid = closure(list(bigdiag.columns()) + [ColumnMap.identity(bigdiag.alphabet)])
-    assert set(machine.state_maps) == set(monoid.elements)
-    assert machine.period == 2
+    assert (len(set(machine.state_maps)), machine.num_states) == (24, 48)
 
 
 def test_reverse_state_budget(bigdiag, monkeypatch):
@@ -354,21 +372,20 @@ def test_minimize_is_memoized_by_value(pd2, bigdiag, periodic_right_seed):
     assert all(a is not b for a, b in zip(after, before))
 
 
-def test_one_orbit_per_substitution_and_period(fixtures):
+def test_one_orbit_per_substitution(fixtures):
     periods = set()
     for sub in fixtures:
         clears = toolkit_cache_clears()
-        assert automata._orbit.cache_clear in clears
+        assert semigroup._orbit.cache_clear in clears
         for clear in clears:
             clear()
         build_reverse_semigroup(sub)
         reverse_and_determinize(build_direct(sub))
         closure(sub.columns())
         structure_semigroup(sub)
-        # the machines run at the seed period, closure and the layers at period 1
-        period = sub.seed_period()
-        assert automata._orbit.cache_info().misses == (1 if period == 1 else 2), str(sub)
-        periods.add(min(period, 2))
+        # the machines add the word-length phase on top of the one map orbit
+        assert semigroup._orbit.cache_info().misses == 1, str(sub)
+        periods.add(min(sub.seed_period(), 2))
     assert periods == {1, 2}
 
 

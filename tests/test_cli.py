@@ -213,6 +213,17 @@ def test_check_passes(sub_file, capsys):
     assert "FAIL" not in out
 
 
+def test_check_semigroup_machine_minimality_needs_primitivity(sub_file, capsys):
+    assert main(["check", sub_file(PD)]) == 0
+    assert "ok: semigroup machine of the simplified form is minimal" in capsys.readouterr().out
+    # b never occurs, so the machine has 2 states against 1 after minimize
+    unused_letter = {"alphabet": ["a", "b"], "length": 2, "rules": {"a": "aa", "b": "ab"}, "seed": ["a", "a"]}
+    assert main(["check", sub_file(unused_letter)]) == 0
+    out = capsys.readouterr().out
+    assert "note: not primitive; semigroup machine minimality skipped" in out
+    assert "semigroup machine of the simplified form" not in out
+
+
 def test_check_duality_with_periodic_right_seed(sub_file, capsys):
     # u is a fixed point of theta^2 only, so the duality must use that power
     assert main(["check", sub_file(PERIODIC_RIGHT_SEED)]) == 0

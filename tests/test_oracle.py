@@ -74,14 +74,6 @@ def test_sample_progression_early_stop(pd2):
     assert capped <= full and len(capped) == 2
 
 
-def test_window_dump_marks_origin(pd2):
-    window = expand(pd2, 1)
-    text = window.dump()
-    lines = text.splitlines()
-    assert lines[0] == "abaaabaa"
-    assert lines[1].index("^") == 4  # caret under index 0
-
-
 def test_window_getitem_bounds(pd2):
     window = expand(pd2, 1)
     with pytest.raises(IndexOutOfWindow):

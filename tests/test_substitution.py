@@ -275,11 +275,6 @@ def test_column_map_identity_unit(bigdiag):
         assert ident.compose(col) == col
 
 
-def test_occurring_letters(bigdiag, constant_sub):
-    assert bigdiag.occurring_letters() == frozenset({0, 1, 2})
-    assert constant_sub.occurring_letters() == frozenset({0})
-
-
 def test_multicharacter_letters_use_array_rules():
     sub = Substitution.from_parts(
         ["lo", "hi"],
