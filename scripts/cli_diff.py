@@ -5,7 +5,8 @@
 
 ``dump`` runs ``toeplitz --range=-200..200`` (plain and ``--certify``),
 ``toeplitz --certify --range=-5000..-4600`` (a range whose residue classes
-do not start at 0),
+do not start at 0), ``toeplitz --range=1000000000000..1000000000400`` (tail
+lookups after long digit words),
 ``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
 one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 --range=-300..300``, ``fixed-point`` on the far windows
@@ -44,6 +45,7 @@ VERBS = {
     "toeplitz": ["toeplitz", None, "--range=-200..200"],
     "toeplitz-certify": ["toeplitz", None, "--certify", "--range=-200..200"],
     "toeplitz-certify-off": ["toeplitz", None, "--certify", "--range=-5000..-4600"],
+    "toeplitz-far": ["toeplitz", None, "--range=1000000000000..1000000000400"],
     "rg-text": ["reduced-graph", None, "--format", "text"],
     "rg-dot": ["reduced-graph", None, "--format", "dot"],
     "semigroup": ["semigroup", None],

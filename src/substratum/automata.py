@@ -449,9 +449,7 @@ def minimize(machine) -> Dfao:
 
 @lru_cache(maxsize=None)
 def _minimize(dfao: Dfao) -> Dfao:
-    rep, block, _ = _partition(
-        dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg
-    )
+    rep, block, _ = _moore(dfao)
     return replace(
         dfao,
         labels=tuple(dfao.labels[s] for s in rep),
@@ -498,6 +496,11 @@ def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, 
         if block[s] == len(rep):
             rep.append(s)
     return tuple(rep), tuple(block), rounds
+
+
+def _moore(dfao: Dfao):
+    """:func:`_partition` of a machine, keyed on its structure."""
+    return _partition(dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg)
 
 
 def _reachable_order(delta, initial_nonneg: int, initial_neg: int | None) -> list[int]:

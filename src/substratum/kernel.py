@@ -2,10 +2,11 @@
 
 The subsequence (u_{ell^e n + j}) is what the reverse machine outputs from the
 state reached by the e digits of j, least significant first.  Two witnesses
-therefore name the same kernel element exactly when minimization merges their
-states, so the kernel is read off the minimal reverse machine: one element per
-state, with its least witness (e, j).  Samples come from one table walk over
-that machine: the state reached by the digits of n is tabulated for all
+therefore name the same kernel element exactly when their states share a Moore
+block, so the kernel is read off the blocks: a level-by-level walk of the
+machine meets each block first at its least witness (e, j), and at a state
+carrying the element's column map.  Samples come from one table walk over the
+same machine: the state reached by the digits of n is tabulated for all
 states at once, so sample n of every element is a lookup.  The brute-force
 variant extracts subsequences straight from an expanded window and counts
 distinct contents.  Its window is wide enough for every pair of distinct
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automata import _partition, build_reverse_semigroup, minimize
+from .automata import _moore, build_reverse_semigroup
 from .errors import WindowTooShort
 from .oracle import Window, window_for_range
 from .substitution import ColumnMap, Substitution
@@ -35,7 +36,6 @@ class KernelElement:
     class_map: ColumnMap
     e: int
     j: int
-    phase: int
     sample: tuple[str, ...]
 
     def witness(self) -> tuple[int, int]:
@@ -43,7 +43,7 @@ class KernelElement:
 
 
 def _side_machine(sub: Substitution, side: str):
-    """The reverse machine, its DFAO for ``side`` and that side's seed period.
+    """The reverse machine and its DFAO for ``side``.
 
     The one-sided DFAO is the machine with its negative side dropped.
     """
@@ -52,62 +52,56 @@ def _side_machine(sub: Substitution, side: str):
     sub.require_seed()
     machine = build_reverse_semigroup(sub)
     if side == ONE_SIDED:
-        return machine, replace(machine.dfao, initial_neg=None, out_neg=None), sub.seed_periods()[0]
-    return machine, machine.dfao, machine.period
+        return machine, replace(machine.dfao, initial_neg=None, out_neg=None)
+    return machine, machine.dfao
 
 
 def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelElement, ...]:
-    """All distinct kernel subsequences: the states of the minimal reverse machine.
+    """All distinct kernel subsequences: the Moore blocks of the side's reverse machine.
 
-    The one-sided kernel minimizes the machine with its negative side
+    The one-sided kernel partitions the machine with its negative side
     dropped.  Elements come in the order of their witnesses; each carries the
-    column map and word-length phase of its witness state in the unminimised
-    machine, and the first ``SAMPLE_LENGTH`` entries of its subsequence.
+    column map of its witness state and the first ``SAMPLE_LENGTH`` entries
+    of its subsequence.
     """
-    machine, dfao, period = _side_machine(sub, side)
-    minimal = minimize(dfao)
-    ell = sub.length
+    machine, dfao = _side_machine(sub, side)
+    block = _moore(dfao)[1]
+    delta, ell = dfao.delta, sub.length
 
     # level by level, digits outside and parents in increasing j inside: the
-    # first arrival at a state is by its least witness, and levels come sorted
-    witnesses = {minimal.initial_nonneg: (0, 0)}
-    frontier = [(minimal.initial_nonneg, 0)]
+    # first arrival at a block is by its least witness, and levels come sorted
+    start = dfao.initial_nonneg
+    witnesses = {block[start]: (0, 0, start)}
+    frontier = [(start, 0)]
     e = 0
     while frontier:
-        level: dict[int, int] = {}
+        level: dict[int, tuple[int, int]] = {}
         for d in range(ell):
             for s, j in frontier:
-                t = minimal.delta[s][d]
-                if t not in witnesses and t not in level:
-                    level[t] = j + d * ell**e
+                t = delta[s][d]
+                if block[t] not in witnesses and block[t] not in level:
+                    level[block[t]] = (t, j + d * ell**e)
         e += 1
-        frontier = list(level.items())
-        witnesses.update((t, (e, j)) for t, j in frontier)
+        frontier = list(level.values())
+        witnesses.update((b, (e, j, t)) for b, (t, j) in level.items())
 
-    # after[n][t]: the state reached from t by the canonical digits of n, least
-    # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's
-    after = [tuple(range(minimal.num_states))]
-    columns = list(zip(*minimal.delta))
+    # after[n][s]: the state reached from s by the canonical digits of n, least
+    # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's,
+    # and reading j padded to e digits keeps the output u_j
+    after = [tuple(range(dfao.num_states))]
+    columns = list(zip(*delta))
     for n in range(1, SAMPLE_LENGTH):
         after.append(tuple(map(after[n // ell].__getitem__, columns[n % ell])))
-    letter = tuple(minimal.out_alphabet[o] for o in minimal.out_nonneg)  # per state
-
-    elements = []
-    for t, (e, j) in witnesses.items():
-        state, rest = dfao.initial_nonneg, j
-        for _ in range(e):
-            rest, d = divmod(rest, ell)
-            state = dfao.delta[state][d]
-        elements.append(
-            KernelElement(
-                class_map=machine.state_maps[state],
-                e=e,
-                j=j,
-                phase=machine.state_phases[state] % period,
-                sample=(minimal.run(j),) + tuple(letter[row[t]] for row in after[1:]),
-            )
+    letter = tuple(dfao.out_alphabet[o] for o in dfao.out_nonneg)  # per state
+    return tuple(
+        KernelElement(
+            class_map=machine.state_maps[s],
+            e=e,
+            j=j,
+            sample=tuple(letter[row[s]] for row in after),
         )
-    return tuple(elements)
+        for e, j, s in witnesses.values()
+    )
 
 
 @dataclass(frozen=True)
@@ -161,9 +155,7 @@ def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED)
     ``MIN_LENGTH`` entries.  R comes from the symbolic side; a wrong R could
     only make the count too small.
     """
-    dfao = _side_machine(sub, side)[1]
-    structure = (dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg)
-    rounds = _partition(*structure)[2]  # the run that minimizing this machine made
+    rounds = _moore(_side_machine(sub, side)[1])[2]  # the run that minimizing this machine made
     span = sub.length**e_max * max(sub.length**rounds, MIN_LENGTH)
     window = window_for_range(sub, 0 if side == ONE_SIDED else -span, span - 1)
     return brute_force_kernel(window, sub.length, e_max)

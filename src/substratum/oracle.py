@@ -51,9 +51,6 @@ class Window:
     def letter(self, index: int) -> str:
         return self.alphabet[self[index]]
 
-    def word_str(self) -> str:
-        return self.alphabet.word_str(self.letters)
-
 
 def expand(sub: Substitution, generations: int) -> Window:
     """``window_for_range(sub, -ell^g, ell^g - 1)``.
@@ -63,7 +60,7 @@ def expand(sub: Substitution, generations: int) -> Window:
     grows to the next multiple of its own seed period.
     """
     if generations < 1:
-        raise Overflow("need at least one generation")
+        raise ValueError("need at least one generation")
     reach = sub.length**generations
     return window_for_range(sub, -reach, reach - 1)
 

@@ -64,7 +64,6 @@ def _orbit(generators: tuple, limit: int):
 class SemigroupClosure:
     """Composition closure of a generator set, with rank bookkeeping."""
 
-    generators: tuple[ColumnMap, ...]
     elements: tuple[ColumnMap, ...]
     min_rank: int
 
@@ -87,7 +86,6 @@ def closure(generators) -> SemigroupClosure:
     nodes, delta = _orbit(tuple(g.table for g in given), word_budget())
     tables = sorted({nodes[t] for row in delta for t in row})
     return SemigroupClosure(
-        generators=tuple(sorted(set(given), key=lambda m: m.table)),
         elements=tuple(ColumnMap(alphabet, t) for t in tables),
         min_rank=min(len(set(t)) for t in tables),
     )

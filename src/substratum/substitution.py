@@ -101,9 +101,6 @@ class ColumnMap:
     def identity(cls, alphabet: Alphabet) -> "ColumnMap":
         return cls(alphabet, tuple(range(len(alphabet))))
 
-    def __call__(self, ordinal: int) -> int:
-        return self.table[ordinal]
-
     def compose(self, inner: "ColumnMap") -> "ColumnMap":
         """The map sending x to self(inner(x)) — ``inner`` is applied first."""
         if inner.alphabet != self.alphabet:

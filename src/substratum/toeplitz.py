@@ -1,17 +1,18 @@
 """Periodic/aperiodic structure of a coincidence substitution's fixed point.
 
-Every verdict is a walk through one machine: the reverse-reading semigroup
-machine that :func:`gate` builds once per substitution, together with a table
-marking its constant states.  An index n lies in Per exactly when the walk
-along its ell-adic digit stream eventually reaches a constant state (constant
-states absorb, so "eventually" is decidable: after the canonical digits only
-the sign's tail digit repeats, and the tail walk cycles).  The reduced graph
-is that machine minus its constant states; infinite digit streams surviving
-inside it spell the aperiodic ell-adic addresses, and the fixed point is
-aperiodic exactly when the part of it reachable from the identity has a
-cycle.  The aperiodic integers are those whose tail walk ends on a cycle of
-the digit-0 or digit-(ell-1) map, and the reduced graph lists every such
-cycle, each with the integer that its shortest access path spells.
+Every verdict is read off one machine, the reverse-reading semigroup machine
+that :func:`gate` builds once per substitution, and off per-state tables of
+it.  An index n lies in Per exactly when the walk along its ell-adic digit
+stream eventually reaches a constant state.  Constant states absorb, and after
+the canonical digits only the sign's tail digit repeats, so what follows is a
+property of the state reached: the gate walks each tail map, s -> delta(s, 0)
+and s -> delta(s, ell-1), once and tabulates every state's answer and the
+map's cycles.  The reduced graph is the machine minus its constant states:
+its live part, since every state is reached from the identity.  Infinite
+digit streams surviving inside it spell the aperiodic ell-adic addresses,
+and the fixed point is aperiodic exactly when it has a cycle.  The aperiodic
+integers are those whose tail walk ends on a tail map's cycle; the reduced
+graph lists each with the integer its shortest access path spells.
 """
 
 from __future__ import annotations
@@ -53,11 +54,14 @@ class ToeplitzGate:
 
     ``constant[s]`` marks the states of ``machine`` whose column map has a
     one-letter image; ``aperiodic`` tells whether the fixed point is.
+    ``tails[d]``, for the tail digits d = 0 and d = ell-1, is the pair
+    (ends, cycles) of :func:`_tail_table` for the map s -> delta(s, d).
     """
 
     aperiodic: bool
     machine: SemigroupAutomaton
     constant: tuple[bool, ...]
+    tails: dict[int, tuple[tuple, tuple]]
 
 
 @lru_cache(maxsize=None)
@@ -82,18 +86,56 @@ def gate(sub: Substitution) -> ToeplitzGate:
     if c != 1:
         raise NotToeplitz(f"column number {c} != 1: the shift is not Toeplitz")
     constant = tuple(size == 1 for size in sizes)
+    delta = machine.dfao.delta
     return ToeplitzGate(
-        aperiodic=_live_part_has_cycle(machine.dfao.delta, constant),
+        aperiodic=_live_part_has_cycle(delta, constant),
         machine=machine,
         constant=constant,
+        tails={d: _tail_table(delta, d, constant) for d in (0, sub.length - 1)},
     )
 
 
-def _live_part_has_cycle(delta, constant) -> bool:
-    """Whether the non-constant states reachable from the identity (state 0)
-    through non-constant states carry a cycle.
+def _tail_table(delta, digit: int, constant):
+    """One pass over s -> delta[s][digit]: every state's answer, and the cycles.
 
-    Without one, every digit stream reaches a constant state within K steps,
+    ``ends[s]`` is (steps, t) when the walk from s reaches the constant state t
+    after ``steps`` steps, and (None, t) when it never does, t being the last
+    state it visits before a state repeats.  A walk from each state not yet
+    answered stops at an answered state or closes a cycle on its own path,
+    and the states behind it take their answers from there: every state is
+    walked once.  The cycles, never constant, list their states in walk order.
+    """
+    ends: list = [(0, s) if constant[s] else None for s in range(len(delta))]
+    cycles = []
+    for start in range(len(delta)):
+        if ends[start] is not None:
+            continue
+        path: dict[int, int] = {}  # state -> position on this walk
+        s = start
+        while ends[s] is None and s not in path:
+            path[s] = len(path)
+            s = delta[s][digit]
+        walk = list(path)
+        if s in path:  # a cycle state's walk ends on its predecessor in the cycle
+            cycle = walk[path[s] :]
+            cycles.append(tuple(cycle))
+            for before, state in zip([cycle[-1], *cycle], cycle):
+                ends[state] = (None, before)
+            del walk[path[s] :]
+        steps, t = ends[s]
+        for state in reversed(walk):
+            steps = None if steps is None else steps + 1
+            ends[state] = (steps, t)
+    return tuple(ends), tuple(cycles)
+
+
+def _live_part_has_cycle(delta, constant) -> bool:
+    """Whether the non-constant states carry a cycle.
+
+    They are the live part: every state is reached from the identity, and
+    constant maps absorb (f constant makes f ∘ theta_d constant), so a walk
+    that reaches a non-constant state passes through non-constant states only.
+    Without a cycle, every digit stream reaches a constant state within K steps,
     so u_n depends on n mod ell^K alone.  A cycle leaves, at every level k, a
     residue class mod ell^k on which u is not constant (every letter occurs),
     so no ell^k is a period; nor is any P = ell^a q: every class mod ell^a
@@ -101,17 +143,11 @@ def _live_part_has_cycle(delta, constant) -> bool:
     coincidence follows any state), u is constant on n + ell^k Z and, with
     period P, on n + ell^a Z, so ell^a would be a period.
     """
-    live = [] if constant[0] else [0]
-    seen = set(live)
-    for s in live:  # the list grows behind the cursor, like a queue
-        for t in delta[s]:
-            if not constant[t] and t not in seen:
-                seen.add(t)
-                live.append(t)
+    live = [s for s in range(len(delta)) if not constant[s]]
     # peel the states no unpeeled live state leads to; a cycle is what remains
     indegree = Counter(t for s in live for t in delta[s] if not constant[t])
     peeled = [s for s in live if not indegree[s]]
-    for s in peeled:  # grows behind the cursor too
+    for s in peeled:  # the list grows behind the cursor, like a queue
         for t in delta[s]:
             if not constant[t]:
                 indegree[t] -= 1
@@ -127,30 +163,25 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
     step ell^k is constant; the walk state being a constant map certifies it
     in both directions at once, and the state one marker further on is
     reported as the negative-side evidence in the shape of the two-condition
-    test.
+    test.  The walk reads the canonical digits, stopping early at a constant
+    state, and the gate's tail table of the sign's tail digit answers for the
+    rest of the digit stream.
     """
     g = gate(sub)
     delta = g.machine.dfao.delta
-    digits = digitmod._low_first(n, sub.length)
-    tail = 0 if n >= 0 else sub.length - 1
     s = k = 0  # the initial state is the identity
-    seen = set()
-    while not g.constant[s]:
-        if k < len(digits):
-            t = delta[s][digits[k]]
-        else:
-            seen.add(s)
-            t = delta[s][tail]
-            if t in seen:  # the tail walk cycles without reaching a constant
-                break
-        s, k = t, k + 1
+    for d in digitmod._low_first(n, sub.length):
+        if g.constant[s]:
+            break
+        s, k = delta[s][d], k + 1
+    steps, s = g.tails[0 if n >= 0 else sub.length - 1][0][s]
     state = g.machine.state_maps[s]
-    periodic = g.constant[s]
+    periodic = steps is not None
     return PeriodicityVerdict(
         index=n,
         status=PERIODIC if periodic else APERIODIC,
-        exponent=k if periodic else None,
-        period=sub.length**k if periodic else None,
+        exponent=k + steps if periodic else None,
+        period=sub.length ** (k + steps) if periodic else None,
         letter=sub.alphabet[state.table[0]] if periodic else None,
         state_pos=state,
         state_neg=g.machine.state_maps[delta[s][sub.length - 1]],
@@ -244,7 +275,7 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
     verdicts = decide_range(sub, lo, hi)  # gates the substitution first
     aperiodic = tuple(v.index for v in verdicts if v.status == APERIODIC)
     # the two statuses partition the range by construction; assert anyway
-    assert len(verdicts) == hi - lo + 1
+    assert len(verdicts) == max(hi - lo + 1, 0)
 
     inconsistencies: list[str] = []
     if certify:
@@ -356,14 +387,13 @@ class ReducedGraph:
 def reduced_graph(sub: Substitution) -> ReducedGraph:
     """Delete all 1-vertices (constant-map states) of the gate's machine and
     the edges leading to them; list the cycles of the tail maps
-    s -> delta(s, 0) and s -> delta(s, ell-1) among the live states.
+    s -> delta(s, 0) and s -> delta(s, ell-1), which the gate's tail tables hold.
 
-    The live states are the non-constant ones that the identity reaches
-    through non-constant states.  After its canonical digits an integer's
-    walk reads its tail digit forever (0 for n >= 0, ell-1 for n < 0), so it
-    is aperiodic exactly when that tail walk enters one of these cycles
-    before a constant state: the list is complete.  Each tail map is a
-    function, so one walk per live state finds all of its cycles.
+    After its canonical digits an integer's walk reads its tail digit forever
+    (0 for n >= 0, ell-1 for n < 0), so it is aperiodic exactly when that
+    tail walk enters one of these cycles before a constant state: the list
+    is complete.  Their states are non-constant, so the identity reaches
+    each through non-constant states, by a shortest access path.
     """
     g = gate(sub)
     machine = g.machine
@@ -373,8 +403,8 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
     edges = tuple((s, d, t) for s in keep for d, t in enumerate(delta[s]) if not g.constant[t])
     paths = _shortest_paths(dfao.initial_nonneg, delta, g.constant)
     infos = []
-    for digit in (0, ell - 1):
-        for cycle in _tail_cycles(delta, digit, paths):
+    for digit, (_, cycles) in g.tails.items():
+        for cycle in cycles:
             entry = min(cycle)
             prefix = paths[entry]
             value = sum(d * ell**i for i, d in enumerate(prefix))
@@ -410,23 +440,3 @@ def _shortest_paths(initial: int, delta, constant) -> dict[int, tuple[int, ...]]
                 paths[t] = paths[s] + (d,)
                 queue.append(t)
     return paths
-
-
-def _tail_cycles(delta, digit: int, live) -> list[list[int]]:
-    """The cycles of s -> delta[s][digit] that stay among the ``live`` states.
-
-    A walk from each state not yet visited stops at a dead or earlier-visited
-    state, or closes a cycle on its own path; every state is walked once.
-    """
-    visited: set[int] = set()
-    cycles = []
-    for start in live:
-        path: dict[int, int] = {}  # state -> position on this walk
-        s = start
-        while s in live and s not in visited and s not in path:
-            path[s] = len(path)
-            s = delta[s][digit]
-        if s in path:
-            cycles.append(list(path)[path[s] :])
-        visited.update(path)
-    return cycles

@@ -135,3 +135,10 @@ def corpus():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def machine_slice(corpus):
+    """The first 60 inputs of the benchmark's machine-build corpus at seed 1,
+    built once: the corpus takes about a second to draw."""
+    return [entry.sub for entry in corpus.machine_corpus(1)[:60]]

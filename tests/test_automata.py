@@ -404,10 +404,10 @@ def test_one_moore_run_per_machine_structure(fixtures):
         assert b == dict_moore_minimize(determinized)
 
 
-def test_semigroup_machine_of_the_simplified_form_is_minimal(fixtures, random_inputs, corpus):
+def test_semigroup_machine_of_the_simplified_form_is_minimal(fixtures, random_inputs, machine_slice):
     # the paper's claim; it needs primitivity: twelve of the non-primitive
     # random inputs, with letters that never occur, give machines that merge
-    subs = fixtures + random_inputs + [entry.sub for entry in corpus.machine_corpus(1)[:60]]
+    subs = fixtures + random_inputs + machine_slice
     primitive = [sub for sub in subs if sub.is_primitive()]
     assert len(primitive) >= 100
     for sub in primitive:

@@ -16,6 +16,7 @@ from substratum import (
     reverse_and_determinize,
     window_for_range,
 )
+from substratum.kernel import SAMPLE_LENGTH
 
 
 def test_pd2_kernel_has_three_elements(pd2):
@@ -71,6 +72,47 @@ def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag, monkeypatch
     assert len(enumerate_kernel(bigdiag)) == 45
 
 
+def minimal_machine_kernel(sub, side):
+    """The kernel read off the minimal machine, each witness state found by
+    walking the unminimised machine along the witness's digits: the reference."""
+    machine = build_reverse_semigroup(sub)
+    dfao = machine.dfao
+    if side == "one-sided":
+        dfao = replace(dfao, initial_neg=None, out_neg=None)
+    minimal = minimize(dfao)
+    ell = sub.length
+    witnesses = {minimal.initial_nonneg: (0, 0)}
+    frontier = [(minimal.initial_nonneg, 0)]
+    e = 0
+    while frontier:
+        level = {}
+        for d in range(ell):
+            for s, j in frontier:
+                t = minimal.delta[s][d]
+                if t not in witnesses and t not in level:
+                    level[t] = j + d * ell**e
+        e += 1
+        frontier = list(level.items())
+        witnesses.update((t, (e, j)) for t, j in frontier)
+    elements = []
+    for e, j in witnesses.values():
+        state, rest = dfao.initial_nonneg, j
+        for _ in range(e):
+            rest, d = divmod(rest, ell)
+            state = dfao.delta[state][d]
+        sample = tuple(minimal.run(j + n * ell**e) for n in range(SAMPLE_LENGTH))
+        elements.append((machine.state_maps[state], e, j, sample))
+    return elements
+
+
+def test_kernel_matches_the_minimal_machine_walk(fixtures, machine_slice):
+    # the six-letter input, last of the fixtures, is compared with the direct machine above
+    for sub in fixtures[:-1] + machine_slice:
+        for side in ("one-sided", "two-sided"):
+            elements = [(el.class_map, el.e, el.j, el.sample) for el in enumerate_kernel(sub, side)]
+            assert elements == minimal_machine_kernel(sub, side), (str(sub), side)
+
+
 def test_eilenberg_equality(pd, pd2, bigdiag, thue_morse):
     for sub in (pd, pd2, bigdiag, thue_morse):
         count = len(enumerate_kernel(sub))
@@ -120,10 +162,10 @@ def minimal_states_within(sub, side, depth):
     return len(reached)
 
 
-def test_two_sided_brute_force_count_is_the_kernel(fixtures, corpus):
+def test_two_sided_brute_force_count_is_the_kernel(fixtures, machine_slice):
     # the six-letter input, last of the fixtures, needs a window beyond the budget
     *within_budget, six_letter = fixtures
-    for sub in within_budget + [entry.sub for entry in corpus.machine_corpus(1)[:60]]:
+    for sub in within_budget + machine_slice:
         kernel = enumerate_kernel(sub)
         depth = max(el.e for el in kernel) or 1
         assert brute_force_kernel_for(sub, depth).count == len(kernel), str(sub)
@@ -131,8 +173,8 @@ def test_two_sided_brute_force_count_is_the_kernel(fixtures, corpus):
         brute_force_kernel_for(six_letter, max(el.e for el in enumerate_kernel(six_letter)))
 
 
-def test_one_sided_brute_force_counts_the_minimal_states_within_depth(fixtures, random_inputs, corpus):
-    subs = fixtures[:-1] + random_inputs[:20] + [entry.sub for entry in corpus.machine_corpus(1)[:60]]
+def test_one_sided_brute_force_counts_the_minimal_states_within_depth(fixtures, random_inputs, machine_slice):
+    subs = fixtures[:-1] + random_inputs[:20] + machine_slice
     for sub in subs:
         for depth in (1, 2):
             expected = minimal_states_within(sub, "one-sided", depth)

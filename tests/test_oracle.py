@@ -39,6 +39,13 @@ def test_expand_budget(bigdiag):
         expand(bigdiag, 20)
 
 
+def test_expand_needs_a_generation(bigdiag):
+    # a bad argument, not a budget exhausted
+    for generations in (0, -1):
+        with pytest.raises(ValueError, match="need at least one generation"):
+            expand(bigdiag, generations)
+
+
 def test_window_for_range(pd2):
     window = window_for_range(pd2, -100, 1000)
     assert window.lo <= -100 and window.hi >= 1000

@@ -21,7 +21,15 @@ from substratum import (
 )
 from substratum import toeplitz
 from substratum.digits import DigitString, to_int
-from substratum.toeplitz import CERTIFY_DEPTH, CycleInfo, decide_range, gate
+from substratum.toeplitz import (
+    APERIODIC,
+    CERTIFY_DEPTH,
+    PERIODIC,
+    CycleInfo,
+    PeriodicityVerdict,
+    decide_range,
+    gate,
+)
 
 BIGDIAG_APERIODIC_50 = (
     -50, -49, -48, -47, -46, -42, -41, -40, -36, -35, -34, -33, -32, -31, -30,
@@ -76,6 +84,15 @@ def test_aperiodic_in_range_partition(pd2):
     periodic = {v.index for v in report.verdicts if v.is_periodic()}
     assert periodic | set(report.aperiodic) == set(range(-20, 21))
     assert periodic & set(report.aperiodic) == set()
+
+
+def test_aperiodic_in_range_of_an_empty_range(pd2, bigdiag):
+    for sub in (pd2, bigdiag):
+        for lo, hi in ((1, 0), (5, 3)):
+            for certify in (False, True):
+                report = aperiodic_in_range(sub, lo, hi, certify=certify)
+                assert report == toeplitz.RangeReport(lo, hi, (), (), certify, ())
+                assert report.summary() == f"Aper ∩ [{lo},{hi}] = {{}}"
 
 
 def test_thue_morse_refused(thue_morse):
@@ -342,6 +359,73 @@ def test_tail_cycles_hold_every_bounded_cycle_with_an_integer_address(
         else:
             assert expected == cycles, str(sub)
     assert cut > 0  # some references stop at 500, and the tail cycles go on
+
+
+def tail_walk_verdict(sub, n):
+    """decide_per with its own seen-set walk after the canonical digits,
+    instead of the gate's tail tables: the reference."""
+    g = gate(sub)
+    delta = g.machine.dfao.delta
+    digits = tuple(reversed(to_digits(n, sub.length).digits))
+    tail = 0 if n >= 0 else sub.length - 1
+    s = k = 0
+    seen = set()
+    while not g.constant[s]:
+        if k < len(digits):
+            t = delta[s][digits[k]]
+        else:
+            seen.add(s)
+            t = delta[s][tail]
+            if t in seen:  # the tail walk cycles without reaching a constant
+                break
+        s, k = t, k + 1
+    state = g.machine.state_maps[s]
+    periodic = g.constant[s]
+    return PeriodicityVerdict(
+        index=n,
+        status=PERIODIC if periodic else APERIODIC,
+        exponent=k if periodic else None,
+        period=sub.length**k if periodic else None,
+        letter=sub.alphabet[state.table[0]] if periodic else None,
+        state_pos=state,
+        state_neg=g.machine.state_maps[delta[s][sub.length - 1]],
+    )
+
+
+def far_indices(ell, count=8):
+    """Indices between ell^20 and ell^40 in size, on both sides of 0."""
+    rng = random.Random(ell)
+    far = [ell**20, ell**40, ell**40 - 1]
+    far += [rng.randint(ell**20, ell**40) for _ in range(count)]
+    return far + [-n for n in far]
+
+
+def test_decide_per_matches_the_tail_walk(
+    fixtures, late_return, periodic_coincidence, random_inputs, corpus
+):
+    subs = fixtures + [late_return] + [sub for sub, _ in periodic_coincidence] + random_inputs
+    subs = admitted(subs + [entry.sub for entry in corpus.coincidence_corpus(1)[:40]])
+    assert len(subs) >= 40
+    aperiodic = 0
+    for sub in subs:
+        for n in list(range(-60, 61)) + far_indices(sub.length):
+            verdict = decide_per(sub, n)
+            assert verdict == tail_walk_verdict(sub, n), (str(sub), n)
+            aperiodic += not verdict.is_periodic()
+    assert aperiodic > 1000
+
+
+def test_every_non_constant_state_is_live(
+    fixtures, late_return, periodic_coincidence, random_inputs, corpus
+):
+    # constant states absorb and every state is reached from the identity, so
+    # the live part that reduced_graph's access paths span needs no search
+    subs = fixtures + [late_return] + [sub for sub, _ in periodic_coincidence] + random_inputs
+    for sub in admitted(subs + [entry.sub for entry in corpus.coincidence_corpus(1)[:40]]):
+        g = gate(sub)
+        dfao = g.machine.dfao
+        paths = toeplitz._shortest_paths(dfao.initial_nonneg, dfao.delta, g.constant)
+        assert set(paths) == {s for s in range(dfao.num_states) if not g.constant[s]}, str(sub)
 
 
 def per_index(sub, lo, hi):
