@@ -3,24 +3,25 @@
     python scripts/cli_diff.py dump SRC_DIR OUT.jsonl   # run the verbs with SRC_DIR/substratum
     python scripts/cli_diff.py compare OLD.jsonl NEW.jsonl
 
-``dump`` runs ``toeplitz --range=-200..200`` (plain and ``--certify``),
-``toeplitz --certify --range=-5000..-4600`` (a range whose residue classes
-do not start at 0), ``toeplitz --range=1000000000000..1000000000400`` (tail
-lookups after long digit words),
-``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
+``dump`` runs ``validate``, ``simplify``, ``toeplitz --range=-200..200``
+(plain and ``--certify``), ``toeplitz --certify --range=-5000..-4600`` (a
+range whose residue classes do not start at 0), ``toeplitz
+--range=1000000000000..1000000000400`` (tail lookups after long digit
+words), ``reduced-graph --format text|dot``, ``semigroup``, ``kernel --side
 one-sided|two-sided``, ``kernel --side one-sided --depth 2``, ``fixed-point
 --range=-300..300``, ``fixed-point`` on the far windows
 ``--range=1000000000000..1000000000200`` and
 ``--range=-1000000000200..-1000000000000`` (read index by index with
 ``Dfao.run``), ``automaton --reading direct|reverse --minimize --format
 table``, ``automaton --reading reverse --format table`` (unminimized: the
-orbit's state order and labels) and ``check`` in-process on the paper examples, on the six-letter
-ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde, e->abfb, f->eeba`` (seed
-a·a), on the ℓ=4 input ``a->ddae, b->badc, c->abed, d->cada, e->dbeb``
-(seed a·c, seed periods 3 and 5) and on ``check_corpus(s)`` + ``machine_corpus(s)`` of
-``bench/corpus.py`` for s in {1, 2}, and writes one JSON line (input, verb,
-exit code, stdout, stderr) per run.  Run it once per checkout, each in a
-fresh interpreter.
+orbit's state order and labels), ``automaton --reading direct|reverse
+--format json|dot`` (unminimized) and ``check`` in-process on the paper
+examples, on the six-letter ℓ=4 input ``a->abea, b->dcdc, c->aeee, d->ecde,
+e->abfb, f->eeba`` (seed a·a), on the ℓ=4 input ``a->ddae, b->badc,
+c->abed, d->cada, e->dbeb`` (seed a·c, seed periods 3 and 5) and on
+``check_corpus(s)`` + ``machine_corpus(s)`` of ``bench/corpus.py`` for s in
+{1, 2}, and writes one JSON line (input, verb, exit code, stdout, stderr)
+per run.  Run it once per checkout, each in a fresh interpreter.
 ``compare`` counts the identical runs per verb and names every run that
 differs in stdout, stderr or exit code, with how many stdout lines a line
 diff removes and adds and the first line of each.  It ends with a table of
@@ -42,6 +43,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VERBS = {
+    "validate": ["validate", None],
+    "simplify": ["simplify", None],
     "toeplitz": ["toeplitz", None, "--range=-200..200"],
     "toeplitz-certify": ["toeplitz", None, "--certify", "--range=-200..200"],
     "toeplitz-certify-off": ["toeplitz", None, "--certify", "--range=-5000..-4600"],
@@ -58,6 +61,10 @@ VERBS = {
     "min-direct": ["automaton", None, "--reading", "direct", "--minimize", "--format", "table"],
     "min-reverse": ["automaton", None, "--reading", "reverse", "--minimize", "--format", "table"],
     "reverse": ["automaton", None, "--reading", "reverse", "--format", "table"],
+    "json-direct": ["automaton", None, "--reading", "direct", "--format", "json"],
+    "json-reverse": ["automaton", None, "--reading", "reverse", "--format", "json"],
+    "dot-direct": ["automaton", None, "--reading", "direct", "--format", "dot"],
+    "dot-reverse": ["automaton", None, "--reading", "reverse", "--format", "dot"],
     "check": ["check", None],
 }
 

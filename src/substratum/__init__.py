@@ -39,7 +39,6 @@ from .errors import (
     WindowTooShort,
 )
 from .kernel import (
-    BruteForceKernel,
     KernelElement,
     brute_force_kernel,
     brute_force_kernel_for,
@@ -81,7 +80,6 @@ __all__ = [
     "closure",
     "structure_semigroup",
     "KernelElement",
-    "BruteForceKernel",
     "enumerate_kernel",
     "brute_force_kernel",
     "brute_force_kernel_for",

@@ -93,10 +93,13 @@ class Dfao:
     # -- running -------------------------------------------------------
 
     def run_word(self, word, side: str = "nonneg") -> str:
-        """Feed an explicit digit word (most significant digit first)."""
+        """Feed an explicit digit word (most significant digit first) to the
+        ``"nonneg"`` or the ``"neg"`` side."""
         if side == "nonneg":
             state = self.initial_nonneg
             outputs = self.out_nonneg
+        elif side != "neg":
+            raise ValueError(f"side must be 'nonneg' or 'neg', got {side!r}")
         else:
             if self.initial_neg is None:
                 raise NoNegativeSide("machine has no negative-side initial state")
@@ -314,15 +317,14 @@ def build_direct(sub: Substitution) -> Dfao:
 class SemigroupAutomaton:
     """A reverse-reading Dfao whose states are labelled by column maps.
 
-    ``phase`` distinguishes word lengths modulo the seed period; it is 0
-    everywhere when the seed letters are fixed by the end columns, in which
-    case the states are exactly the monoid generated by id and the columns.
+    A state is a column map and a word length modulo the seed period, the
+    label ``vector@phase`` when that period exceeds 1.  When the seed letters
+    are fixed by the end columns, the states are exactly the monoid generated
+    by id and the columns.
     """
 
     dfao: Dfao
     state_maps: tuple[ColumnMap, ...]
-    state_phases: tuple[int, ...]
-    period: int
 
     @property
     def num_states(self) -> int:
@@ -360,8 +362,6 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
     return SemigroupAutomaton(
         dfao=replace(dfao, labels=labels),
         state_maps=tuple(column_maps[i] for i, _ in states),
-        state_phases=tuple(phase for _, phase in states),
-        period=period,
     )
 
 
@@ -435,20 +435,11 @@ def minimize(machine) -> Dfao:
 
     Unreachable states are dropped, and the blocks are numbered in the order
     their first state appears along the BFS order of :func:`_reachable_order`.
-    The result is memoized by the machine's value, so the kernel reuses the
-    minimization of a reverse machine already minimized in the same run, and
-    the Moore run by the machine's structure without its labels, so the
-    semigroup-labelled reverse machine and the determinized reversal of the
-    direct machine share one run and each keeps its own labels.  A
-    remembered answer is that of a Moore run on an equal machine, so
-    ``check``'s "minimize idempotent" line still compares a real
-    minimization.
+    The Moore run is memoized by the machine's structure without its labels,
+    so the semigroup-labelled reverse machine and the determinized reversal
+    of the direct machine share one run and each keeps its own labels.
     """
-    return _minimize(_as_dfao(machine))
-
-
-@lru_cache(maxsize=None)
-def _minimize(dfao: Dfao) -> Dfao:
+    dfao = _as_dfao(machine)
     rep, block, _ = _moore(dfao)
     return replace(
         dfao,
@@ -528,9 +519,6 @@ def _reachable_order(delta, initial_nonneg: int, initial_neg: int | None) -> lis
 class EquivalenceResult:
     equal: bool
     witness: int | None
-
-    def __bool__(self) -> bool:
-        return self.equal
 
 
 def equivalent(machine1, machine2) -> EquivalenceResult:

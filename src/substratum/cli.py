@@ -125,7 +125,7 @@ def cmd_kernel(args) -> int:
         print(f"e={el.e} j={el.j}  {el.class_map.vector():>16}  {sample}")
     if args.depth is not None:
         brute = kernelmod.brute_force_kernel_for(sub, args.depth, side=args.side)
-        print(f"brute-force count at depth {args.depth}: {brute.count}")
+        print(f"brute-force count at depth {args.depth}: {brute}")
     return 0
 
 
@@ -259,13 +259,13 @@ def cmd_check(args) -> int:
     try:
         brute_small = kernelmod.brute_force_kernel_for(sub, depth - 1) if depth > 1 else None
         brute = kernelmod.brute_force_kernel_for(sub, depth)
-        ok = brute.count == len(elements)
+        ok = brute == len(elements)
         if brute_small is not None:
-            ok = ok and brute_small.count <= brute.count
+            ok = ok and brute_small <= brute
         report(
             "brute-force kernel stabilizes at the symbolic count",
             ok,
-            f"{brute_small.count if brute_small else '-'} -> {brute.count} vs {len(elements)}",
+            f"{'-' if brute_small is None else brute_small} -> {brute} vs {len(elements)}",
         )
     except SubstratumError as exc:
         print(f"note: brute-force kernel depth {depth} skipped ({exc})")

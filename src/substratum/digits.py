@@ -70,15 +70,6 @@ class DigitString:
             i += 1
         return self.digits[i:]
 
-    def __str__(self) -> str:
-        sep = "" if self.base <= 10 else ","
-        body = sep.join(str(d) for d in self.digits)
-        if self.negative:
-            head = sep.join(str(d) for d in self.digits[: len(self) - len(self.block())])
-            tail = sep.join(str(d) for d in self.block())
-            return f"~{head}·{tail}"
-        return body
-
 
 # Chunk tables cover the chunk values below base**k, k the largest with
 # base**k <= CHUNK_CAP: 64 values in base 2, 4 and 8, 27 in base 3, 25 in base 5.

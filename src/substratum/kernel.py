@@ -38,9 +38,6 @@ class KernelElement:
     j: int
     sample: tuple[str, ...]
 
-    def witness(self) -> tuple[int, int]:
-        return (self.e, self.j)
-
 
 def _side_machine(sub: Substitution, side: str):
     """The reverse machine and its DFAO for ``side``.
@@ -104,19 +101,16 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     )
 
 
-@dataclass(frozen=True)
-class BruteForceKernel:
-    count: int
-
-
-def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel:
+def brute_force_kernel(window: Window, ell: int, e_max: int) -> int:
     """Count distinct subsequences (u_{ell^e n + j}), e <= e_max, inside a window.
 
     Every subsequence is sampled over the same index range n so the contents
     are comparable: centered on 0, or from 0 when the window has no negative
     side.  The range must keep at least ``MIN_LENGTH`` entries at depth
-    ``e_max``.
+    ``e_max``, and a negative ``e_max`` is a ``ValueError``.
     """
+    if e_max < 0:
+        raise ValueError(f"depth must be >= 0, got {e_max}")
     step_max = ell**e_max
     two_sided = window.lo < 0
     if two_sided:
@@ -142,10 +136,10 @@ def brute_force_kernel(window: Window, ell: int, e_max: int) -> BruteForceKernel
         for j in range(step):
             first = step * sample_range.start + j - window.lo  # offset of the first term
             seen.add(letters[first : first + step * len(sample_range) : step].tobytes())
-    return BruteForceKernel(count=len(seen))
+    return len(seen)
 
 
-def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED) -> BruteForceKernel:
+def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED) -> int:
     """Brute-force count to depth ``e_max`` over a window that separates every element.
 
     With R the splitting rounds of the Moore refinement of the side's reverse
@@ -153,8 +147,10 @@ def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED)
     <= R, whose value lies in [-ell^R, ell^R) (in [0, ell^R) one-sided).  So
     every subsequence is sampled over at least that range, and at least
     ``MIN_LENGTH`` entries.  R comes from the symbolic side; a wrong R could
-    only make the count too small.
+    only make the count too small.  A negative ``e_max`` is a ``ValueError``.
     """
+    if e_max < 0:
+        raise ValueError(f"depth must be >= 0, got {e_max}")
     rounds = _moore(_side_machine(sub, side)[1])[2]  # the run that minimizing this machine made
     span = sub.length**e_max * max(sub.length**rounds, MIN_LENGTH)
     window = window_for_range(sub, 0 if side == ONE_SIDED else -span, span - 1)

@@ -99,12 +99,6 @@ class StructureSemigroup:
     elements: tuple[ColumnMap, ...]
     stabilizing_exponent: int
 
-    def __contains__(self, m: ColumnMap) -> bool:
-        return m in set(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def _layers(sub: Substitution):
     """Orbit nodes and the layer sequence P_k = P_{k-1} * columns, as sets of
@@ -121,7 +115,6 @@ def _layers(sub: Substitution):
         layers.append(nxt)
 
 
-@lru_cache(maxsize=None)
 def structure_semigroup(sub: Substitution) -> StructureSemigroup:
     """Exact intersection semigroup and the least exponent realizing it.
 

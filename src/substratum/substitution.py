@@ -110,9 +110,6 @@ class ColumnMap:
     def image_size(self) -> int:
         return len(set(self.table))
 
-    def is_constant(self) -> bool:
-        return self.image_size() == 1
-
     def is_idempotent(self) -> bool:
         return self.compose(self) == self
 
@@ -130,6 +127,13 @@ class ColumnMap:
 
     def __str__(self) -> str:
         return self.vector()
+
+
+def _is_word(value) -> bool:
+    """Whether ``value`` is a string or a list of strings, a word of the JSON input."""
+    return isinstance(value, str) or (
+        isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
+    )
 
 
 def _cycle_data(f: ColumnMap) -> tuple[int, int]:
@@ -207,22 +211,33 @@ class Substitution:
         rules: dict,
         seed=None,
     ) -> "Substitution":
-        """Build from symbol-level data (the JSON input shape)."""
+        """Build from symbol-level data (the JSON input shape).
+
+        Field types are checked here, where the JSON enters: the length is an
+        int, the alphabet and every rule a string or a list of strings, and
+        the seed a list of two strings; anything else is invalid input.
+        """
+        if not isinstance(length, int) or isinstance(length, bool):
+            raise RuleLengthMismatch(f"substitution length must be an integer, got {length!r}")
+        if not _is_word(letters):
+            raise BadAlphabet(f"alphabet must be a list of strings, got {letters!r}")
         alphabet = Alphabet(tuple(letters))
+        if not isinstance(rules, dict):
+            raise RuleLengthMismatch(f"rules must map letters to their images, got {rules!r}")
         rule_table = []
         for letter in alphabet:
             if letter not in rules:
                 raise RuleLengthMismatch(f"no rule given for letter {letter!r}")
             image = rules[letter]
-            if isinstance(image, str):
-                image = list(image)
+            if not _is_word(image):
+                raise RuleLengthMismatch(f"rule for {letter!r} must be a string or a list of strings")
             rule_table.append(tuple(alphabet.index(s) for s in image))
         extra = set(rules) - set(alphabet.letters)
         if extra:
             raise UnknownLetter(f"rules given for letters outside the alphabet: {sorted(extra)}")
         seed_ord = None
         if seed is not None:
-            if len(seed) != 2:
+            if not isinstance(seed, (list, tuple)) or len(seed) != 2 or not _is_word(seed):
                 raise BadSeed("seed must be a pair [left, right]")
             seed_ord = (alphabet.index(seed[0]), alphabet.index(seed[1]))
         return cls(alphabet, length, tuple(rule_table), seed_ord)

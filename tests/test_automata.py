@@ -149,11 +149,18 @@ def test_reverse_semigroup_labels_cover_generated_monoid(fixtures, coprime_seed_
     for sub in fixtures + [coprime_seed_periods]:
         machine = build_reverse_semigroup(sub)
         monoid = closure(list(sub.columns()) + [ColumnMap.identity(sub.alphabet)])
-        # the states project onto the orbit's maps, one state per (map, phase)
+        # the states project onto the orbit's maps, one state per (map, phase),
+        # labelled vector@phase when the seed period exceeds 1
         assert set(machine.state_maps) == set(monoid.elements), str(sub)
-        pairs = list(zip(machine.state_maps, machine.state_phases))
-        assert len(set(pairs)) == len(pairs) == machine.num_states, str(sub)
-        periods.add(machine.period)
+        period = sub.seed_period()
+        labels = machine.dfao.labels
+        assert len(set(labels)) == len(labels) == machine.num_states, str(sub)
+        for label, state_map in zip(labels, machine.state_maps):
+            vector, _, phase = label.partition("@")
+            assert vector == state_map.vector(), str(sub)
+            assert (phase == "") == (period == 1), str(sub)
+            assert period == 1 or 0 <= int(phase) < period, str(sub)
+        periods.add(period)
     assert {1, 2, 15} <= periods
 
 
@@ -358,20 +365,6 @@ def test_minimize_matches_dict_moore_on_a_padded_json_machine(periodic_right_see
     assert minimize(machine) == dict_moore_minimize(machine)
 
 
-def test_minimize_is_memoized_by_value(pd2, bigdiag, periodic_right_seed):
-    subs = (pd2, bigdiag, periodic_right_seed)
-    before = [minimize(m) for m in fixture_machines(subs)]
-    for machine, result in zip(fixture_machines(subs), before):
-        assert minimize(machine) is minimize(machine) is result
-    clears = toolkit_cache_clears()
-    assert automata._minimize.cache_clear in clears
-    for clear in clears:
-        clear()
-    after = [minimize(m) for m in fixture_machines(subs)]
-    assert after == before
-    assert all(a is not b for a, b in zip(after, before))
-
-
 def test_one_orbit_per_substitution(fixtures):
     periods = set()
     for sub in fixtures:
@@ -540,6 +533,14 @@ def test_padding_invariance(pd, pd2, bigdiag, thue_morse):
             for extra in (1, 2, 3):
                 padded = pad(ds, len(ds) + extra)
                 assert reverse.run_word(padded.digits, side) == reverse.run(n)
+
+
+def test_run_word_rejects_an_unknown_side(pd2):
+    # a side other than "nonneg" and "neg" is an error, not the negative side
+    for machine in (build_direct(pd2), build_reverse_semigroup(pd2).dfao):
+        for side in ("pos", "negative", ""):
+            with pytest.raises(ValueError, match="side must be 'nonneg' or 'neg'"):
+                machine.run_word((1,), side)
 
 
 def test_one_sided_machine_rejects_negative():

@@ -97,6 +97,27 @@ def test_validate_bad_rules(sub_file, capsys):
     assert main(["validate", sub_file(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("length", 2.0),
+        ("length", "2"),
+        ("rules", {"a": "ab", "b": 5}),
+        ("alphabet", [["a"], "b"]),
+        ("seed", 5),
+    ],
+    ids=["float-length", "string-length", "int-rule", "list-letter", "int-seed"],
+)
+def test_malformed_field_types_are_invalid_input(sub_file, capsys, field, value):
+    # a field of the wrong JSON type is refused where the file is read
+    path = sub_file({**PD, field: value})
+    for verb in ("validate", "check"):
+        assert main([verb, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 def test_simplify(sub_file, capsys):
     assert main(["simplify", sub_file(PD)]) == 0
     out = capsys.readouterr().out

@@ -153,12 +153,6 @@ def test_padded_strings_flag_noncanonical():
     assert to_int(padded) == 3
 
 
-def test_str_rendering():
-    assert str(to_digits(-5, 2)) == "~1·011"
-    assert str(to_digits(-1, 4)) == "~3·"
-    assert str(to_digits(11, 2)) == "1011"
-
-
 @pytest.mark.parametrize("base", CHUNK_BASES)
 def test_chunked_expansion_matches_the_divmod_loop(base):
     values = [*range(-10_000, 10_001), *_chunk_boundaries(base), 10**30, -(10**30)]

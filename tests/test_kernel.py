@@ -21,7 +21,7 @@ from substratum.kernel import SAMPLE_LENGTH
 
 def test_pd2_kernel_has_three_elements(pd2):
     elements = enumerate_kernel(pd2)
-    assert [el.witness() for el in elements] == [(0, 0), (1, 0), (1, 1)]
+    assert [(el.e, el.j) for el in elements] == [(0, 0), (1, 0), (1, 1)]
     assert [el.class_map.vector() for el in elements] == ["(a,b)^T", "(a,a)^T", "(b,b)^T"]
     assert "".join(elements[0].sample) == "abaaabababaaabaa"
     assert "".join(elements[1].sample) == "a" * 16
@@ -39,10 +39,10 @@ def test_constant_substitution_kernel(constant_sub):
 def test_pd_original_kernel_includes_the_swapped_sequence(pd):
     elements = enumerate_kernel(pd)
     assert len(elements) == 4
-    assert [el.witness() for el in elements] == [(0, 0), (1, 0), (1, 1), (2, 1)]
-    swapped = next(el for el in elements if el.witness() == (1, 1))
+    assert [(el.e, el.j) for el in elements] == [(0, 0), (1, 0), (1, 1), (2, 1)]
+    swapped = next(el for el in elements if (el.e, el.j) == (1, 1))
     # odd-indexed subsequence of the period-doubling point swaps the letters
-    base = next(el for el in elements if el.witness() == (0, 0))
+    base = next(el for el in elements if (el.e, el.j) == (0, 0))
     flip = {"a": "b", "b": "a"}
     assert "".join(swapped.sample) == "".join(flip[s] for s in base.sample)
 
@@ -130,23 +130,23 @@ def test_kernel_closed_under_digit_operators(pd2):
 
 def test_brute_force_pd2(pd2):
     window = expand(pd2, 6)  # 4096 letters on each side
-    assert brute_force_kernel(window, 4, 5).count == 3
+    assert brute_force_kernel(window, 4, 5) == 3
 
 
 def test_brute_force_depth_zero(pd2):
     window = expand(pd2, 3)
-    assert brute_force_kernel(window, 4, 0).count == 1
+    assert brute_force_kernel(window, 4, 0) == 1
 
 
 def test_brute_force_monotone_and_stabilizes(bigdiag):
-    counts = [brute_force_kernel_for(bigdiag, depth).count for depth in range(2, 8)]
+    counts = [brute_force_kernel_for(bigdiag, depth) for depth in range(2, 8)]
     assert counts == sorted(counts)
     assert counts[-1] == counts[-2] == 45
 
 
 def test_brute_force_matches_enumeration(pd, pd2, thue_morse):
     for sub, depth in ((pd, 4), (pd2, 4), (thue_morse, 5)):
-        assert brute_force_kernel_for(sub, depth).count == len(enumerate_kernel(sub))
+        assert brute_force_kernel_for(sub, depth) == len(enumerate_kernel(sub))
 
 
 def minimal_states_within(sub, side, depth):
@@ -168,7 +168,7 @@ def test_two_sided_brute_force_count_is_the_kernel(fixtures, machine_slice):
     for sub in within_budget + machine_slice:
         kernel = enumerate_kernel(sub)
         depth = max(el.e for el in kernel) or 1
-        assert brute_force_kernel_for(sub, depth).count == len(kernel), str(sub)
+        assert brute_force_kernel_for(sub, depth) == len(kernel), str(sub)
     with pytest.raises(Overflow):
         brute_force_kernel_for(six_letter, max(el.e for el in enumerate_kernel(six_letter)))
 
@@ -178,12 +178,12 @@ def test_one_sided_brute_force_counts_the_minimal_states_within_depth(fixtures, 
     for sub in subs:
         for depth in (1, 2):
             expected = minimal_states_within(sub, "one-sided", depth)
-            assert brute_force_kernel_for(sub, depth, side="one-sided").count == expected, str(sub)
+            assert brute_force_kernel_for(sub, depth, side="one-sided") == expected, str(sub)
 
 
 def test_brute_force_count_with_coprime_seed_periods(coprime_seed_periods):
     # its seed periods 3 and 5 once made this window overflow at 2*4^15 letters
-    assert brute_force_kernel_for(coprime_seed_periods, 2).count == 21
+    assert brute_force_kernel_for(coprime_seed_periods, 2) == 21
     assert minimal_states_within(coprime_seed_periods, "two-sided", 2) == 21
 
 
@@ -206,9 +206,16 @@ def test_brute_force_counts_match_per_index_reads(random_inputs):
             count = (right.hi + 1) // sub.length**e_max
             for w, sample_range in ((window, range(-radius, radius)), (right, range(count))):
                 expected = per_index_brute_force_count(w, sub.length, e_max, sample_range)
-                assert brute_force_kernel(w, sub.length, e_max).count == expected
+                assert brute_force_kernel(w, sub.length, e_max) == expected
                 compared += 1
     assert compared > 300
+
+
+def test_brute_force_negative_depth_is_a_value_error(pd2):
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        brute_force_kernel_for(pd2, -1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        brute_force_kernel(expand(pd2, 3), 4, -1)
 
 
 def test_brute_force_window_too_short(pd2):

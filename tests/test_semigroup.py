@@ -75,7 +75,7 @@ def test_graded_bigdiag_rotation_lengths(bigdiag):
     assert rot.vector() == "(c,a,b)^T"
     members = [k for k in range(1, 8) if rot in bigdiag.power(k).columns()]
     assert members == [1, 4, 7]
-    assert rot not in structure_semigroup(bigdiag)
+    assert rot not in structure_semigroup(bigdiag).elements
 
 
 def test_bigdiag_alpha_columns_are_rotation_powers(bigdiag):

@@ -53,8 +53,8 @@ def test_decide_per_pd2_values(pd2):
 
 def test_decide_per_periodic_evidence_is_constant(pd2):
     v = decide_per(pd2, 6)
-    assert v.state_pos.is_constant()
-    assert v.state_neg.is_constant()
+    assert v.state_pos.image_size() == 1
+    assert v.state_neg.image_size() == 1
     assert v.state_pos.table[0] == pd2.alphabet.index(v.letter)
 
 
