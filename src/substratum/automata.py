@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -39,6 +39,7 @@ from . import digits as digitmod
 from .errors import (
     BadBase,
     DigitOutOfRange,
+    InputError,
     NoNegativeSide,
     SeedMissing,
     UnknownLetter,
@@ -140,18 +141,18 @@ class Dfao:
         """
         if lo > hi:
             return ()
-        nonneg = self._level_walk(self.delta, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
-        neg: list[int] = []
+        read = self.out_alphabet.__getitem__
+        word: list[str] = []
         if lo < 0:
             if self.initial_neg is None:
                 raise NoNegativeSide("machine has no negative-side initial state")
             complemented = tuple(row[::-1] for row in self.delta)
             neg = self._level_walk(complemented, self.initial_neg, -lo, 1, self.pad_neg)
-        letters = self.out_alphabet
-        return tuple(
-            letters[self.out_neg[neg[-1 - n]]] if n < 0 else letters[self.out_nonneg[nonneg[n]]]
-            for n in range(lo, hi + 1)
-        )
+            # index n < 0 is neg[-1 - n]: read neg backwards, down to n = min(hi, -1)
+            word += map(read, map(self.out_neg.__getitem__, reversed(neg[max(-1 - hi, 0) :])))
+        nonneg = self._level_walk(self.delta, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
+        word += map(read, map(self.out_nonneg.__getitem__, nonneg[max(lo, 0) :]))
+        return tuple(word)
 
     def _level_walk(self, delta, start: int, count: int, marked: int, pad: int) -> list[int]:
         """States after the word of every m < count, read from ``start`` through ``delta``.
@@ -228,12 +229,46 @@ class Dfao:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dfao":
+        """Read :meth:`to_json_dict`'s format.
+
+        ``ell`` must be an integer >= 2 and the optional ``pads`` two
+        integers >= 1.  Every state's ``delta`` row must map the digits below
+        ``ell``, and no other key, to listed states, and each side's outputs
+        must map exactly the listed states.  Anything else, or an unknown
+        initial state, is invalid input.
+        """
         names = list(data["states"])
         index = {name: i for i, name in enumerate(names)}
-        ell = int(data["ell"])
-        delta = tuple(
-            tuple(index[data["delta"][name][str(d)]] for d in range(ell)) for name in names
-        )
+
+        def state(name) -> int:
+            if not isinstance(name, str) or name not in index:
+                raise UnknownLetter(f"unknown state {name!r}")
+            return index[name]
+
+        ell = data["ell"]
+        if type(ell) is not int or ell < 2:
+            raise BadBase(f"ell must be an integer >= 2, got {ell!r}")
+        pads = data.get("pads", [1, 1])
+        if not (
+            isinstance(pads, (list, tuple))
+            and len(pads) == 2
+            and all(type(p) is int and p >= 1 for p in pads)
+        ):
+            raise InputError(f"pads must be two integers >= 1, got {pads!r}")
+        digits = [str(d) for d in range(ell)]
+        rows = data["delta"]
+        delta = []
+        for name in names:
+            row = rows.get(name)
+            if not isinstance(row, dict) or row.keys() != set(digits):
+                raise DigitOutOfRange(f"state {name!r} needs one transition per digit 0..{ell - 1}")
+            delta.append(tuple(state(row[d]) for d in digits))
+        for side in ("nonneg", "neg"):
+            mapping = data["outputs"].get(side)
+            if side == "neg" and not mapping:
+                continue  # a one-sided machine
+            if not isinstance(mapping, dict) or mapping.keys() != index.keys():
+                raise UnknownLetter(f"the {side} outputs must map every state, and nothing else")
         letters = sorted({v for m in data["outputs"].values() if m for v in m.values()})
         out_alphabet = tuple(letters)
         letter_index = {v: i for i, v in enumerate(out_alphabet)}
@@ -241,19 +276,18 @@ class Dfao:
         neg_map = data["outputs"].get("neg")
         out_neg = tuple(letter_index[neg_map[name]] for name in names) if neg_map else None
         init = data["initial"]
-        pads = data.get("pads", [1, 1])
         return cls(
             ell=ell,
             labels=tuple(names),
-            delta=delta,
-            initial_nonneg=index[init["nonneg"]],
-            initial_neg=index[init["neg"]] if init.get("neg") is not None else None,
+            delta=tuple(delta),
+            initial_nonneg=state(init["nonneg"]),
+            initial_neg=state(init["neg"]) if init.get("neg") is not None else None,
             out_alphabet=out_alphabet,
             out_nonneg=out_nonneg,
             out_neg=out_neg,
             reading=data["reading"],
-            pad_nonneg=int(pads[0]),
-            pad_neg=int(pads[1]),
+            pad_nonneg=pads[0],
+            pad_neg=pads[1],
         )
 
     def to_dot(self) -> str:
@@ -281,6 +315,23 @@ class Dfao:
         return "\n".join(lines) + "\n"
 
 
+def _unchecked(source: Dfao | None = None, /, **fields) -> Dfao:
+    """A Dfao with the fields of ``source`` replaced by ``fields`` (or with
+    ``fields`` alone, which then name every field), set without
+    :meth:`Dfao.__post_init__`'s checks.
+
+    It is for machines the toolkit builds itself, whose tables are total and
+    in range by construction; public construction, :meth:`Dfao.from_json_dict`
+    and ``dataclasses.replace`` keep every check.
+    """
+    machine = object.__new__(Dfao)
+    state = vars(machine)
+    if source is not None:
+        state.update(vars(source))
+    state.update(fields)
+    return machine
+
+
 # -- Cobham's direct-reading machine --------------------------------------
 
 
@@ -295,7 +346,7 @@ def build_direct(sub: Substitution) -> Dfao:
     )
     identity_out = tuple(range(len(sub.alphabet)))
     p_r, p_l = sub.seed_periods()
-    return Dfao(
+    return _unchecked(
         ell=sub.length,
         labels=tuple(sub.alphabet.letters),
         delta=delta,
@@ -360,7 +411,7 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
     vectors = [m.vector() for m in column_maps]
     labels = tuple(vectors[i] if period == 1 else f"{vectors[i]}@{phase}" for i, phase in states)
     return SemigroupAutomaton(
-        dfao=replace(dfao, labels=labels),
+        dfao=_unchecked(dfao, labels=labels),
         state_maps=tuple(column_maps[i] for i, _ in states),
     )
 
@@ -408,7 +459,7 @@ def _determinize(dfao: Dfao):
             anchors.append(dfao.delta[anchors[-1]][tail_digit])
         return tuple(out[maps[i][anchors[(-phase) % pad]]] for i, phase in states)
 
-    return maps, states, Dfao(
+    return maps, states, _unchecked(
         ell=dfao.ell,
         labels=tuple(f"r{i}" for i in range(len(states))),
         delta=delta,
@@ -420,6 +471,8 @@ def _determinize(dfao: Dfao):
             outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg) if two_sided else None
         ),
         reading=REVERSE,
+        pad_nonneg=1,
+        pad_neg=1,
     )
 
 
@@ -441,7 +494,7 @@ def minimize(machine) -> Dfao:
     """
     dfao = _as_dfao(machine)
     rep, block, _ = _moore(dfao)
-    return replace(
+    return _unchecked(
         dfao,
         labels=tuple(dfao.labels[s] for s in rep),
         delta=tuple(tuple(map(block.__getitem__, dfao.delta[s])) for s in rep),

@@ -10,48 +10,80 @@ Expansions are read off per-base chunk tables: :func:`_chunks` lists the
 digit words of every chunk value below ``base**k`` (at most ``CHUNK_CAP``),
 so one ``divmod`` by ``base**k`` yields k digits.  The tables are built once
 per base and process by an ``lru_cache`` (tens of microseconds), and
-clearing that cache drops them.  :class:`DigitString` still checks the range
-of every digit of every object, those of :func:`to_digits` included.
+clearing that cache drops them.  Validation happens where data enters: the
+public :class:`DigitString` constructor checks the base and every digit, and
+:func:`_chunks` checks the base once per base, its tables being in range by
+construction, so :func:`to_digits` builds its words without a per-digit check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import chain, product
+from operator import attrgetter
 
 from .errors import BadBase, NonCanonical
 
 
-@dataclass(frozen=True)
+def _field(name: str, doc: str) -> property:
+    """A read-only view of the private slot ``_name``."""
+
+    def frozen(self, *value):  # the setter and the deleter
+        raise FrozenInstanceError(f"field {name!r} is read-only")
+
+    return property(attrgetter("_" + name), frozen, frozen, doc)
+
+
 class DigitString:
     """A finite digit word, most significant digit first.
 
     ``negative`` marks the word as an abbreviation of a left-infinite
     expansion padded with ``base - 1``; such words carry at least one
-    leading marker digit.
+    leading marker digit.  The constructor checks every digit.  The fields
+    are read-only views of private slots: assigning to one raises
+    ``FrozenInstanceError``, and instances compare, hash and print like a
+    frozen dataclass of the three fields.
     """
 
-    base: int
-    digits: tuple[int, ...]
-    negative: bool = False
+    __slots__ = ("_base", "_digits", "_negative")
 
-    def __post_init__(self) -> None:
-        base = self.base
+    base = _field("base", "The base, at least 2.")
+    digits = _field("digits", "The digits, each below the base.")
+    negative = _field("negative", "Whether the word abbreviates a left-infinite expansion.")
+
+    def __init__(self, base: int, digits: tuple[int, ...], negative: bool = False) -> None:
         if base < 2:
             raise BadBase(f"base must be >= 2, got {base}")
-        for d in self.digits:
+        for d in digits:
             if not 0 <= d < base:
                 raise NonCanonical(f"digit {d} out of range for base {base}")
-        if self.negative and not self.digits:
+        if negative and not digits:
             raise NonCanonical("negative digit string needs at least its marker digit")
+        self._base = base
+        self._digits = digits
+        self._negative = negative
+
+    def __reduce__(self):
+        return DigitString, (self._base, self._digits, self._negative)
+
+    def __repr__(self) -> str:
+        return f"DigitString(base={self._base!r}, digits={self._digits!r}, negative={self._negative!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._base, self._digits, self._negative) == (other._base, other._digits, other._negative)
+
+    def __hash__(self) -> int:
+        return hash((self._base, self._digits, self._negative))
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self._digits)
 
     @property
     def marker(self) -> int:
-        return self.base - 1
+        return self._base - 1
 
     def is_canonical(self) -> bool:
         if not self.negative:
@@ -71,6 +103,9 @@ class DigitString:
         return self.digits[i:]
 
 
+_new = object.__new__  # to_digits fills the slots of a blank DigitString
+
+
 # Chunk tables cover the chunk values below base**k, k the largest with
 # base**k <= CHUNK_CAP: 64 values in base 2, 4 and 8, 27 in base 3, 25 in base 5.
 # A cap of 256 saves at most one divmod on check's indices (|n| <= 2000) in
@@ -87,7 +122,11 @@ def _chunks(base: int):
     zeros, the top chunk of an n >= 0; ``top_neg[c]`` is one marker followed
     by c without leading markers, the top chunk of an n < 0.  Every table
     lists its words in increasing order of c, block by block of equal length.
+    Every digit path starts here, so the base is checked here: for a base
+    below 2 the loop that picks k would never end.
     """
+    if base < 2:
+        raise BadBase(f"base must be >= 2, got {base}")
     k = 1
     while base ** (k + 1) <= CHUNK_CAP:
         k += 1
@@ -112,8 +151,6 @@ def _high_first(n: int, base: int) -> tuple[int, ...]:
     One ``divmod`` per chunk of k digits; the top chunk is the last quotient
     step, which ends at 0 (n >= 0) or at -1 (n < 0).
     """
-    if base < 2:
-        raise BadBase(f"base must be >= 2, got {base}")
     size, full, top_pos, top_neg = _chunks(base)
     stop = 0 if n >= 0 else -1
     n, c = divmod(n, size)
@@ -135,20 +172,32 @@ def to_digits(n: int, base: int) -> DigitString:
     """Canonical base-``base`` expansion of any integer.
 
     ``0`` becomes the empty string; ``-1`` becomes the bare marker digit.
+    The loop is :func:`_high_first`'s, inlined, and the slots are set
+    without the constructor's per-digit check: the chunk tables hold digits
+    below ``base`` by construction.
     """
-    return DigitString(base, _high_first(n, base), n < 0)
+    size, full, top_pos, top_neg = _chunks(base)
+    stop = 0 if n >= 0 else -1
+    q, c = divmod(n, size)
+    digits: tuple[int, ...] = ()
+    while q != stop:
+        digits = full[c] + digits
+        q, c = divmod(q, size)
+    ds = _new(DigitString)
+    ds._base = base
+    ds._digits = (top_neg if stop else top_pos)[c] + digits
+    ds._negative = n < 0
+    return ds
 
 
 def to_int(ds: DigitString) -> int:
     """Inverse of :func:`to_digits`; also accepts padded (non-canonical) words."""
-    base = ds.base
+    base, digits = ds._base, ds._digits
     value = 0
-    for d in ds.digits:
+    for d in digits:
         value = value * base + d
-    if ds.negative:
-        # abbreviation of (base-1)^inf digits: subtract the weight just above
-        return value - base ** len(ds.digits)
-    return value
+    # a negative word abbreviates (base-1)^inf digits: subtract the weight just above
+    return value - base ** len(digits) if ds._negative else value
 
 
 def pad(ds: DigitString, k: int) -> DigitString:

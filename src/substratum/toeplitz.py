@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from . import digits as digitmod
 from .automata import SemigroupAutomaton, build_reverse_semigroup
@@ -220,11 +221,17 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
         for r, s in level:
             if constant[s]:
                 first = lo + (r - lo) % step  # the least index of the class in [lo, hi]
-                pos, neg = maps[s], maps[delta[s][ell - 1]]
-                letter = letters[pos.table[0]]
+                pos = maps[s]
+                fields = {
+                    "status": PERIODIC,
+                    "exponent": k,
+                    "period": step,
+                    "letter": letters[pos.table[0]],
+                    "state_pos": pos,
+                    "state_neg": maps[delta[s][ell - 1]],
+                }
                 verdicts[first - lo :: step] = [
-                    PeriodicityVerdict(n, PERIODIC, k, step, letter, pos, neg)
-                    for n in range(first, hi + 1, step)
+                    _verdict(n, fields) for n in range(first, hi + 1, step)
                 ]
             else:
                 live.append((r, s))
@@ -235,6 +242,20 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
             return tuple(verdicts)
         level = [(r + d * step, t) for r, s in live for d, t in enumerate(delta[s])]
         k, step = k + 1, step * ell
+
+
+_new = object.__new__
+
+
+def _verdict(index: int, fields: dict) -> PeriodicityVerdict:
+    """The verdict ``PeriodicityVerdict(index, **fields)``, set without the
+    frozen dataclass's ``__init__``, which sets each field through
+    ``object.__setattr__``; ``fields`` holds the other six in field order."""
+    verdict = _new(PeriodicityVerdict)
+    state = vars(verdict)
+    state["index"] = index
+    state.update(fields)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -273,23 +294,33 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
     order included, is the one the per-index samples give.
     """
     verdicts = decide_range(sub, lo, hi)  # gates the substitution first
-    aperiodic = tuple(v.index for v in verdicts if v.status == APERIODIC)
     # the two statuses partition the range by construction; assert anyway
     assert len(verdicts) == max(hi - lo + 1, 0)
+    # one pass: the aperiodic verdicts, and with certify the periodic ones
+    # by (period, residue, letter) class and their largest exponent
+    aperiodic: list[PeriodicityVerdict] = []
+    classes: dict[tuple[int, int, str], list[PeriodicityVerdict]] = {}
+    max_expo = 0
+    for v in verdicts:
+        if v.status == APERIODIC:
+            aperiodic.append(v)
+        elif certify:
+            classes.setdefault((v.period, v.index % v.period, v.letter), []).append(v)
+            if v.exponent > max_expo:
+                max_expo = v.exponent
 
     inconsistencies: list[str] = []
     if certify:
-        max_expo = max((v.exponent for v in verdicts if v.is_periodic()), default=0)
         reach = sub.length ** (max(max_expo, CERTIFY_DEPTH) + 3)  # >= ell^(k+3) for every verdict
         window = window_for_range(sub, min(lo, -reach), max(hi, reach - 1))
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
         periodic_terms = 2 * sub.length**3
-        certified = _certified_classes(window, verdicts, periodic_terms)
-        for v in verdicts:
-            if v.is_periodic():
-                if (v.period, v.index % v.period, v.letter) in certified:
-                    continue
+        passed = _certified_classes(window, classes, periodic_terms)
+        pending = aperiodic + [v for key, members in classes.items() if key not in passed for v in members]
+        pending.sort(key=attrgetter("index"))  # verdict order is index order
+        for v in pending:
+            if v.status == PERIODIC:
                 seen = sample_progression(window, v.index, v.period, max_terms=periodic_terms)
                 if seen != {v.letter}:
                     inconsistencies.append(
@@ -306,31 +337,28 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
         lo=lo,
         hi=hi,
         verdicts=verdicts,
-        aperiodic=aperiodic,
+        aperiodic=tuple(v.index for v in aperiodic),
         certified=certify,
         inconsistencies=tuple(inconsistencies),
     )
 
 
-def _certified_classes(window, verdicts, terms: int) -> set[tuple[int, int, str]]:
+def _certified_classes(window, classes, terms: int) -> set[tuple[int, int, str]]:
     """The (period, residue, letter) classes of periodic verdicts that pass at once.
 
+    ``classes`` maps each class to its members in index order.
     ``sample_progression(window, n, P, max_terms=terms)`` examines indices
     n + i*P with -terms < i <= terms inside the window, so the strided slice
     from ``terms`` steps before a class's first member to ``terms`` steps
     after its last holds every term of every member's sample, and each
     sample is a non-empty part of it.
     """
-    classes: dict[tuple[int, int, str], list[int]] = {}
-    for v in verdicts:
-        if v.is_periodic():
-            classes.setdefault((v.period, v.index % v.period, v.letter), []).append(v.index)
     ordinals = {letter: o for o, letter in enumerate(window.alphabet)}
     passed = set()
     for key, members in classes.items():
         period, residue, letter = key
-        start = max(members[0] - terms * period, window.lo + (residue - window.lo) % period)
-        stop = min(members[-1] + terms * period, window.hi) + 1
+        start = max(members[0].index - terms * period, window.lo + (residue - window.lo) % period)
+        stop = min(members[-1].index + terms * period, window.hi) + 1
         terms_seen = window.letters[start - window.lo : stop - window.lo : period]
         if terms_seen.count(ordinals.get(letter)) == len(terms_seen):
             passed.add(key)

@@ -5,11 +5,15 @@ from dataclasses import replace
 import pytest
 
 from substratum import (
+    BadBase,
+    DigitOutOfRange,
     Dfao,
+    InputError,
     NoNegativeSide,
     SeedMissing,
     StateExplosion,
     Substitution,
+    UnknownLetter,
     build_direct,
     build_reverse_semigroup,
     closure,
@@ -21,7 +25,7 @@ from substratum import (
     pad,
     window_for_range,
 )
-from substratum import automata, semigroup
+from substratum import automata, kernel, semigroup
 from substratum.automata import _reachable_order
 
 
@@ -582,3 +586,73 @@ def test_dot_export_contains_figure_edges(bigdiag):
     assert '"c" -> "b" [label="0,1"]' in dot
     assert "ℕ₀" in dot and "−ℕ" in dot
     assert dot == build_direct(bigdiag).to_dot()  # deterministic
+
+
+def test_machines_built_without_checks_pass_them(fixtures, random_inputs):
+    # the toolkit skips Dfao.__post_init__ on the machines it builds itself
+    for sub in fixtures + random_inputs:
+        direct = build_direct(sub)
+        try:
+            reverse = build_reverse_semigroup(sub).dfao
+        except StateExplosion:
+            continue
+        machines = [direct, reverse, reverse_and_determinize(direct)]
+        machines += [minimize(m) for m in machines]
+        machines.append(kernel._side_machine(sub, kernel.ONE_SIDED)[1])
+        for machine in machines:
+            assert type(machine) is Dfao
+            assert Dfao(**vars(machine)) == machine, str(sub)
+
+
+def _bigdiag_json(bigdiag):
+    return json.loads(json.dumps(build_direct(bigdiag).to_json_dict()))
+
+
+@pytest.mark.parametrize("ell", [2.9, 3.0, "3", True, 1, 0, None])
+def test_from_json_dict_refuses_a_bad_ell(bigdiag, ell):
+    data = _bigdiag_json(bigdiag)
+    data["ell"] = ell
+    with pytest.raises(BadBase):
+        Dfao.from_json_dict(data)
+
+
+@pytest.mark.parametrize("pads", [[1.5, 1], [2, "1"], [0, 1], [1, -2], [1], [1, 1, 1], 2, [True, 1]])
+def test_from_json_dict_refuses_bad_pads(bigdiag, pads):
+    data = _bigdiag_json(bigdiag)
+    data["pads"] = pads
+    with pytest.raises(InputError):
+        Dfao.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("missing digit", DigitOutOfRange),
+        ("extra digit", DigitOutOfRange),
+        ("missing row", DigitOutOfRange),
+        ("unknown state", UnknownLetter),
+        ("unknown initial state", UnknownLetter),
+        ("missing output", UnknownLetter),
+        ("output of an unknown state", UnknownLetter),
+    ],
+)
+def test_from_json_dict_refuses_a_bad_table(bigdiag, case, error):
+    data = _bigdiag_json(bigdiag)
+    first = data["states"][0]
+    if case == "missing digit":
+        del data["delta"][first]["2"]
+    elif case == "extra digit":
+        data["delta"][first]["3"] = first
+    elif case == "missing row":
+        del data["delta"][first]
+    elif case == "unknown state":
+        data["delta"][first]["1"] = "nowhere"
+    elif case == "unknown initial state":
+        data["initial"]["neg"] = "nowhere"
+    elif case == "missing output":
+        del data["outputs"]["neg"][first]
+    else:
+        data["outputs"]["nonneg"]["nowhere"] = "a"
+    with pytest.raises(error):
+        Dfao.from_json_dict(data)
+    assert issubclass(error, InputError)

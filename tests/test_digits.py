@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -187,3 +189,33 @@ def test_dfao_run_matches_the_low_first_reading_at_far_indices(pd2, periodic_rig
         for machine in (direct, reverse, replace(reverse, pad_nonneg=2, pad_neg=3)):
             for n in far:
                 assert machine.run(n) == _run_by_low_first(machine, n), (machine.reading, n)
+
+
+def test_to_digits_equals_the_validating_constructor():
+    # to_digits fills its slots without the constructor's per-digit check
+    for base in range(2, 8):
+        for n in [*range(-5000, 5001), 10**30, -(10**30)]:
+            ds = to_digits(n, base)
+            checked = DigitString(base, ds.digits, n < 0)
+            assert ds == checked and hash(ds) == hash(checked), (base, n)
+            assert repr(ds) == repr(checked), (base, n)
+    ds = to_digits(-5, 2)
+    assert repr(ds) == "DigitString(base=2, digits=(1, 0, 1, 1), negative=True)"
+    assert ds != (2, (1, 0, 1, 1), True)
+    assert copy.copy(ds) == ds == pickle.loads(pickle.dumps(ds))
+
+
+def test_digit_strings_are_frozen_and_the_constructor_still_checks():
+    ds = to_digits(6, 2)
+    for field, value in (("base", 3), ("digits", (1,)), ("negative", True)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, field, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(ds, field)
+    assert ds == DigitString(2, (1, 1, 0))
+    with pytest.raises(NonCanonical):
+        DigitString(2, (2,))
+    with pytest.raises(NonCanonical):
+        DigitString(2, (), negative=True)
+    with pytest.raises(BadBase):
+        DigitString(1, ())
