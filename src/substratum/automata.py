@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 
@@ -315,23 +315,6 @@ class Dfao:
         return "\n".join(lines) + "\n"
 
 
-def _unchecked(source: Dfao | None = None, /, **fields) -> Dfao:
-    """A Dfao with the fields of ``source`` replaced by ``fields`` (or with
-    ``fields`` alone, which then name every field), set without
-    :meth:`Dfao.__post_init__`'s checks.
-
-    It is for machines the toolkit builds itself, whose tables are total and
-    in range by construction; public construction, :meth:`Dfao.from_json_dict`
-    and ``dataclasses.replace`` keep every check.
-    """
-    machine = object.__new__(Dfao)
-    state = vars(machine)
-    if source is not None:
-        state.update(vars(source))
-    state.update(fields)
-    return machine
-
-
 # -- Cobham's direct-reading machine --------------------------------------
 
 
@@ -346,7 +329,7 @@ def build_direct(sub: Substitution) -> Dfao:
     )
     identity_out = tuple(range(len(sub.alphabet)))
     p_r, p_l = sub.seed_periods()
-    return _unchecked(
+    return Dfao(
         ell=sub.length,
         labels=tuple(sub.alphabet.letters),
         delta=delta,
@@ -411,7 +394,7 @@ def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
     vectors = [m.vector() for m in column_maps]
     labels = tuple(vectors[i] if period == 1 else f"{vectors[i]}@{phase}" for i, phase in states)
     return SemigroupAutomaton(
-        dfao=_unchecked(dfao, labels=labels),
+        dfao=replace(dfao, labels=labels),
         state_maps=tuple(column_maps[i] for i, _ in states),
     )
 
@@ -459,7 +442,7 @@ def _determinize(dfao: Dfao):
             anchors.append(dfao.delta[anchors[-1]][tail_digit])
         return tuple(out[maps[i][anchors[(-phase) % pad]]] for i, phase in states)
 
-    return maps, states, _unchecked(
+    return maps, states, Dfao(
         ell=dfao.ell,
         labels=tuple(f"r{i}" for i in range(len(states))),
         delta=delta,
@@ -471,8 +454,6 @@ def _determinize(dfao: Dfao):
             outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg) if two_sided else None
         ),
         reading=REVERSE,
-        pad_nonneg=1,
-        pad_neg=1,
     )
 
 
@@ -494,7 +475,7 @@ def minimize(machine) -> Dfao:
     """
     dfao = _as_dfao(machine)
     rep, block, _ = _moore(dfao)
-    return _unchecked(
+    return replace(
         dfao,
         labels=tuple(dfao.labels[s] for s in rep),
         delta=tuple(tuple(map(block.__getitem__, dfao.delta[s])) for s in rep),

@@ -42,8 +42,10 @@ class DigitString:
     expansion padded with ``base - 1``; such words carry at least one
     leading marker digit.  The constructor checks every digit.  The fields
     are read-only views of private slots: assigning to one raises
-    ``FrozenInstanceError``, and instances compare, hash and print like a
-    frozen dataclass of the three fields.
+    ``FrozenInstanceError``, and instances compare, hash, print, copy and
+    pickle like a frozen dataclass of the three fields.  It is not a
+    dataclass, though: ``dataclasses.replace``, ``fields`` and ``asdict``
+    refuse it, and a new word comes from the constructor.
     """
 
     __slots__ = ("_base", "_digits", "_negative")
@@ -172,20 +174,13 @@ def to_digits(n: int, base: int) -> DigitString:
     """Canonical base-``base`` expansion of any integer.
 
     ``0`` becomes the empty string; ``-1`` becomes the bare marker digit.
-    The loop is :func:`_high_first`'s, inlined, and the slots are set
-    without the constructor's per-digit check: the chunk tables hold digits
-    below ``base`` by construction.
+    The slots are set without the constructor's per-digit check: the chunk
+    tables that :func:`_high_first` reads hold digits below ``base`` by
+    construction.
     """
-    size, full, top_pos, top_neg = _chunks(base)
-    stop = 0 if n >= 0 else -1
-    q, c = divmod(n, size)
-    digits: tuple[int, ...] = ()
-    while q != stop:
-        digits = full[c] + digits
-        q, c = divmod(q, size)
     ds = _new(DigitString)
     ds._base = base
-    ds._digits = (top_neg if stop else top_pos)[c] + digits
+    ds._digits = _high_first(n, base)
     ds._negative = n < 0
     return ds
 

@@ -16,9 +16,9 @@ the minimal states within e_max digits of the start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .automata import _moore, _unchecked, build_reverse_semigroup
+from .automata import _moore, build_reverse_semigroup
 from .errors import WindowTooShort
 from .oracle import Window, window_for_range
 from .substitution import ColumnMap, Substitution
@@ -49,7 +49,7 @@ def _side_machine(sub: Substitution, side: str):
     sub.require_seed()
     machine = build_reverse_semigroup(sub)
     if side == ONE_SIDED:
-        return machine, _unchecked(machine.dfao, initial_neg=None, out_neg=None)
+        return machine, replace(machine.dfao, initial_neg=None, out_neg=None)
     return machine, machine.dfao
 
 

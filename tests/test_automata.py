@@ -25,7 +25,7 @@ from substratum import (
     pad,
     window_for_range,
 )
-from substratum import automata, kernel, semigroup
+from substratum import automata, semigroup
 from substratum.automata import _reachable_order
 
 
@@ -586,22 +586,6 @@ def test_dot_export_contains_figure_edges(bigdiag):
     assert '"c" -> "b" [label="0,1"]' in dot
     assert "ℕ₀" in dot and "−ℕ" in dot
     assert dot == build_direct(bigdiag).to_dot()  # deterministic
-
-
-def test_machines_built_without_checks_pass_them(fixtures, random_inputs):
-    # the toolkit skips Dfao.__post_init__ on the machines it builds itself
-    for sub in fixtures + random_inputs:
-        direct = build_direct(sub)
-        try:
-            reverse = build_reverse_semigroup(sub).dfao
-        except StateExplosion:
-            continue
-        machines = [direct, reverse, reverse_and_determinize(direct)]
-        machines += [minimize(m) for m in machines]
-        machines.append(kernel._side_machine(sub, kernel.ONE_SIDED)[1])
-        for machine in machines:
-            assert type(machine) is Dfao
-            assert Dfao(**vars(machine)) == machine, str(sub)
 
 
 def _bigdiag_json(bigdiag):

@@ -1,6 +1,6 @@
 import copy
 import pickle
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, is_dataclass, replace
 
 import pytest
 
@@ -213,9 +213,16 @@ def test_digit_strings_are_frozen_and_the_constructor_still_checks():
         with pytest.raises(FrozenInstanceError):
             delattr(ds, field)
     assert ds == DigitString(2, (1, 1, 0))
+    # not a dataclass: a new word comes from the constructor, which checks it
+    assert not is_dataclass(ds)
+    with pytest.raises(TypeError):
+        replace(ds, digits=(2,))
+    with pytest.raises(AttributeError):
+        ds.extra = 1
     with pytest.raises(NonCanonical):
         DigitString(2, (2,))
     with pytest.raises(NonCanonical):
         DigitString(2, (), negative=True)
     with pytest.raises(BadBase):
         DigitString(1, ())
+
