@@ -34,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from . import digits as digitmod
 from .errors import (
@@ -56,8 +57,9 @@ class Dfao:
     """A deterministic finite automaton with per-side outputs.
 
     :meth:`run` reads one index in O(log |n|) table steps; :meth:`run_range`
-    reads a window around 0 at about one step per index, because the digit
-    words of its indices share their prefixes.
+    reads a window around 0 level by level, because the digit words of its
+    indices share their prefixes, moving each level through each digit column
+    in one C-level gather.
     """
 
     ell: int
@@ -130,61 +132,71 @@ class Dfao:
         return self.out_alphabet[outputs[state]]
 
     def run_range(self, lo: int, hi: int) -> tuple[str, ...]:
-        """``tuple(self.run(n) for n in range(lo, hi + 1))``, about one step per index.
+        """``tuple(self.run(n) for n in range(lo, hi + 1))``, a few gathers per digit level.
 
         Index m >= 0 is read as its canonical word and index -1-m < 0 as the
         marker word whose digits are those of m complemented, each padded to
         the side's period.  Both sides walk the digit words of 0, 1, ... level
-        by level (level k holds the states after every k-digit word), so the
-        cost is O(max(|lo|, |hi|)) table steps: the method is meant for
+        by level (level k holds the states after every k-digit word), and each
+        level moves all its states through one digit column at a time in C, so
+        the cost is O(max(|lo|, |hi|)) table reads: the method is meant for
         windows around 0, and :meth:`run` for far indices.
         """
         if lo > hi:
             return ()
-        read = self.out_alphabet.__getitem__
+        columns = list(zip(*self.delta))
+        if self.num_states <= 256:  # one byte per state: bytes.translate gathers a column
+            columns = [bytes(column).ljust(256, b"\0") for column in columns]
         word: list[str] = []
         if lo < 0:
             if self.initial_neg is None:
                 raise NoNegativeSide("machine has no negative-side initial state")
-            complemented = tuple(row[::-1] for row in self.delta)
-            neg = self._level_walk(complemented, self.initial_neg, -lo, 1, self.pad_neg)
+            # complementing every digit of a word reads the columns in reverse order
+            neg = self._level_walk(columns[::-1], self.initial_neg, -lo, 1, self.pad_neg)
+            names = tuple(map(self.out_alphabet.__getitem__, self.out_neg))
             # index n < 0 is neg[-1 - n]: read neg backwards, down to n = min(hi, -1)
-            word += map(read, map(self.out_neg.__getitem__, reversed(neg[max(-1 - hi, 0) :])))
-        nonneg = self._level_walk(self.delta, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
-        word += map(read, map(self.out_nonneg.__getitem__, nonneg[max(lo, 0) :]))
+            word += map(names.__getitem__, neg[max(-1 - hi, 0) :][::-1])
+        nonneg = self._level_walk(columns, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
+        names = tuple(map(self.out_alphabet.__getitem__, self.out_nonneg))
+        word += map(names.__getitem__, nonneg[max(lo, 0) :])
         return tuple(word)
 
-    def _level_walk(self, delta, start: int, count: int, marked: int, pad: int) -> list[int]:
-        """States after the word of every m < count, read from ``start`` through ``delta``.
+    def _level_walk(self, columns, start: int, count: int, marked: int, pad: int):
+        """States after the word of every m < count, read from ``start``.
 
-        The word of m is its canonical digits behind ``marked`` leading zeros,
-        padded with more leading zeros to a multiple of ``pad`` digits (on the
-        negative side ``delta`` is complemented, so these zeros are markers).
+        ``columns[d]`` holds every state's successor on digit d: a bytes
+        translation table when the states fit in a byte, so that a level is
+        bytes, and a tuple otherwise, so that a level is a list.  The word of
+        m is its canonical digits behind ``marked`` leading zeros, padded with
+        more leading zeros to a multiple of ``pad`` digits (on the negative
+        side the columns come in reverse order, so these zeros are markers).
         m is recorded at the first level k that is such a multiple and holds
         its word.
         """
         ell = self.ell
-        columns = list(zip(*delta))
-        states = [start]  # level k: after the k-digit words of 0 .. min(ell**k, count) - 1
-        found: list[int] = []
-        width = 1  # ell**k
+        small = isinstance(columns[0], bytes)
+        states = bytes((start,)) if small else [start]
+        found = states[:0]
+        width = 1  # ell**k; level k holds the k-digit words of 0 .. min(ell**k, count) - 1
         k = 0
-        while len(found) < count:
+        while True:
             if k % pad == 0 and k >= marked:
                 found += states[len(found) : min(count, width // ell**marked)]
+                if len(found) >= count:
+                    return found
             if self.reading == DIRECT:  # word of q*ell + d = word of q, then d
                 parents = states[: -(-count // ell)]
-                states = list(chain.from_iterable(map(delta.__getitem__, parents)))[:count]
+                take = _gather(parents)
+                size = len(parents) * ell
+                states = bytearray(size) if small else [0] * size
+                for d, column in enumerate(columns):
+                    states[d::ell] = take(column)
+                del states[count:]
             else:  # word of j + d*ell**k = word of j, then d
-                nxt: list[int] = []
-                for column in columns:
-                    if len(nxt) >= count:
-                        break
-                    nxt += map(column.__getitem__, states[: count - len(nxt)])
-                states = nxt
+                moved = map(_gather(states), columns[: -(-count // len(states))])
+                states = (b"".join(moved) if small else list(chain.from_iterable(moved)))[:count]
             width *= ell
             k += 1
-        return found
 
     # -- serialization ---------------------------------------------------
 
@@ -313,6 +325,21 @@ class Dfao:
                 lines.append(f'  "{names[s]}" -> "{names[target]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _gather(states):
+    """The C-level map from a digit column to its entries at ``states``.
+
+    Byte states gather through a column's translation table; a list of
+    states through ``itemgetter``, whose one-index form returns the bare
+    entry, so one state is wrapped by hand.
+    """
+    if not isinstance(states, list):
+        return states.translate
+    if len(states) == 1:
+        (s,) = states
+        return lambda column: (column[s],)
+    return itemgetter(*states)
 
 
 # -- Cobham's direct-reading machine --------------------------------------

@@ -320,46 +320,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name: str, func, help_text: str):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="substitution JSON file")
-        p.set_defaults(func=func)
         return p
 
-    add("validate", cmd_validate, "check the substitution invariants")
-    add("simplify", cmd_simplify, "print the least power with idempotent end columns")
+    add("validate", "check the substitution invariants")
+    add("simplify", "print the least power with idempotent end columns")
 
-    p = add("fixed-point", cmd_fixed_point, "print a window of the two-sided fixed point")
+    p = add("fixed-point", "print a window of the two-sided fixed point")
     p.add_argument("--range", required=True, help="window lo..hi (e.g. -8..8)")
 
-    p = add("automaton", cmd_automaton, "build the direct or reverse machine")
+    p = add("automaton", "build the direct or reverse machine")
     p.add_argument("--reading", choices=["direct", "reverse"], default="direct")
     p.add_argument("--format", choices=["dot", "json", "table"], default="table")
     p.add_argument("--minimize", action="store_true", help="minimize before printing")
 
-    p = add("kernel", cmd_kernel, "enumerate the ell-kernel")
+    p = add("kernel", "enumerate the ell-kernel")
     p.add_argument("--side", choices=[kernelmod.ONE_SIDED, kernelmod.TWO_SIDED], default=kernelmod.TWO_SIDED)
     p.add_argument("--depth", type=int, default=None, help="also brute-force count to this depth")
 
-    add("semigroup", cmd_semigroup, "compute the structure semigroup")
+    add("semigroup", "compute the structure semigroup")
 
-    p = add("toeplitz", cmd_toeplitz, "classify indices as periodic or aperiodic")
+    p = add("toeplitz", "classify indices as periodic or aperiodic")
     p.add_argument("--range", required=True, help="index range lo..hi")
     p.add_argument("--certify", action="store_true", help="cross-validate against the window oracle")
 
-    p = add("reduced-graph", cmd_reduced_graph, "reduced graph of the semigroup machine")
+    p = add("reduced-graph", "reduced graph of the semigroup machine")
     p.add_argument("--format", choices=["dot", "text"], default="dot")
 
-    add("check", cmd_check, "run the full invariant suite")
+    add("check", "run the full invariant suite")
     return parser
 
 
+# built once at import: every main call in a process parses with it
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # the verb's function is looked up when it runs, so a wrapper put in
+    # its place on this module (a tracer's, a test's) is the one called
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
         word_budget()  # a malformed budget is refused before any verb prints
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,24 +168,31 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
     state, and the gate's tail table of the sign's tail digit answers for the
     rest of the digit stream.
     """
-    g = gate(sub)
-    delta = g.machine.dfao.delta
+    return _walk(gate(sub), sub, n)
+
+
+def _walk(g: ToeplitzGate, sub: Substitution, n: int) -> PeriodicityVerdict:
+    """:func:`decide_per`'s walk for n on the gate ``g`` of ``sub``."""
+    ell = sub.length
+    delta, maps, constant = g.machine.dfao.delta, g.machine.state_maps, g.constant
     s = k = 0  # the initial state is the identity
-    for d in digitmod._low_first(n, sub.length):
-        if g.constant[s]:
+    for d in digitmod._low_first(n, ell):
+        if constant[s]:
             break
         s, k = delta[s][d], k + 1
-    steps, s = g.tails[0 if n >= 0 else sub.length - 1][0][s]
-    state = g.machine.state_maps[s]
+    steps, s = g.tails[0 if n >= 0 else ell - 1][0][s]
+    state = maps[s]
     periodic = steps is not None
-    return PeriodicityVerdict(
-        index=n,
-        status=PERIODIC if periodic else APERIODIC,
-        exponent=k + steps if periodic else None,
-        period=sub.length ** (k + steps) if periodic else None,
-        letter=sub.alphabet[state.table[0]] if periodic else None,
-        state_pos=state,
-        state_neg=g.machine.state_maps[delta[s][sub.length - 1]],
+    return _verdict(
+        n,
+        {
+            "status": PERIODIC if periodic else APERIODIC,
+            "exponent": k + steps if periodic else None,
+            "period": ell ** (k + steps) if periodic else None,
+            "letter": sub.alphabet.letters[state.table[0]] if periodic else None,
+            "state_pos": state,
+            "state_neg": maps[delta[s][ell - 1]],
+        },
     )
 
 
@@ -199,12 +206,12 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
     ``delta[s][d]``.  A residue reaching a constant state at level k gives
     every index of its class the same verdict: exponent k, period ell^k and
     the state's letter.  Once ell^(k+1) exceeds hi - lo a class holds at most
-    ell indices, and the indices still live take decide_per's own walk: a
-    level deeper, nearly every class holds one index, so it would cost a node
-    per index and spare few walks.  Every level reached has ell^k <= hi - lo,
-    so each of its classes holds an index.  The result equals
-    ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.  A range of
-    more indices than the budget is refused before any work.
+    ell indices, and the indices still live take decide_per's walk on the
+    gate already in hand: a level deeper, nearly every class holds one index,
+    so it would cost a node per index and spare few walks.  Every level
+    reached has ell^k <= hi - lo, so each of its classes holds an index.  The
+    result equals ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.
+    A range of more indices than the budget is refused before any work.
     """
     width, limit = hi - lo + 1, word_budget()
     if width > limit:
@@ -238,7 +245,7 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
         if step * ell > hi - lo:
             for r, _ in live:
                 for n in range(lo + (r - lo) % step, hi + 1, step):
-                    verdicts[n - lo] = decide_per(sub, n)
+                    verdicts[n - lo] = _walk(g, sub, n)
             return tuple(verdicts)
         level = [(r + d * step, t) for r, s in live for d, t in enumerate(delta[s])]
         k, step = k + 1, step * ell
@@ -285,6 +292,12 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
     within a window that covers the range and [-ell^(K+3), ell^(K+3) - 1], K
     the largest periodic exponent or ``CERTIFY_DEPTH`` if larger; an aperiodic
     one must show two letters at every step ell^k, k <= ``CERTIFY_DEPTH``.
+    An aperiodic verdict is sampled at the deepest step ell^K, K =
+    ``CERTIFY_DEPTH``, first: inside the window, n + ell^K Z lies in
+    n + ell^k Z for every k <= K, and each sample walks its whole progression
+    until it sees two letters, so two letters at ell^K are two letters at
+    every shallower step.  Only a verdict that fails there is sampled at each
+    step in turn, which names its failing steps in the per-step order.
     Periodic verdicts are certified one class at a time: those sharing period
     P, residue mod P and letter are checked by one strided slice of the window
     from ``2*ell^3`` steps before the first to ``2*ell^3`` steps after the
@@ -316,6 +329,7 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
         periodic_terms = 2 * sub.length**3
+        deepest = sub.length**CERTIFY_DEPTH
         passed = _certified_classes(window, classes, periodic_terms)
         pending = aperiodic + [v for key, members in classes.items() if key not in passed for v in members]
         pending.sort(key=attrgetter("index"))  # verdict order is index order
@@ -326,7 +340,7 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
                     inconsistencies.append(
                         f"index {v.index}: claimed constant {v.letter} at step {v.period}, saw {sorted(seen)}"
                     )
-            else:
+            elif len(sample_progression(window, v.index, deepest, stop_at=2)) < 2:
                 for k in range(CERTIFY_DEPTH + 1):
                     seen = sample_progression(window, v.index, sub.length**k, stop_at=2)
                     if len(seen) < 2:

@@ -83,11 +83,13 @@ def test_machines_agree_with_oracle(pd, pd2, bigdiag, thue_morse, span):
         assert direct.run_range(-span, span) == reverse.dfao.run_range(-span, span) == letters
 
 
-def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_right_seed):
+def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_right_seed, six_letter):
     machines = []
-    for sub in (pd, pd2, bigdiag, thue_morse, periodic_right_seed):
+    for sub in (pd, pd2, bigdiag, thue_morse, periodic_right_seed, six_letter):
         for machine in (build_direct(sub), build_reverse_semigroup(sub).dfao):
             machines += [machine, minimize(machine)]
+    # states past a byte gather through itemgetter, one index included
+    assert build_reverse_semigroup(six_letter).num_states > 256
     assert build_direct(periodic_right_seed).pad_nonneg == 2  # a padded direct machine
     # a reverse machine read back with pads, which then apply as in run()
     data = build_reverse_semigroup(bigdiag).dfao.to_json_dict()

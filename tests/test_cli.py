@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from substratum import cli
 from substratum.cli import main
 
 PD = {"alphabet": ["a", "b"], "length": 2, "rules": {"a": "ab", "b": "aa"}, "seed": ["a", "a"]}
@@ -260,6 +261,41 @@ def test_deterministic_output(sub_file, capsys):
     main(["toeplitz", path, "--range=-20..20"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_main_calls_share_one_parser(sub_file, capsys, monkeypatch):
+    # the parser is built once at import; a verb, a usage error or --help
+    # before a check leaves that check's output and exit code as they were
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    path = sub_file(PD)
+    assert main(["check", path]) == 0
+    expected = capsys.readouterr().out
+    # validate returns 0; argparse exits 2 on a usage error and 0 after help
+    for argv, exit_code in (
+        (["validate", path], None),
+        (["no-such-verb", path], 2),
+        (["--help"], 0),
+        (["check", "--help"], 0),
+    ):
+        if exit_code is None:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == exit_code
+        capsys.readouterr()
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_main_calls_the_verb_function_the_module_holds(sub_file, capsys, monkeypatch):
+    # a wrapper put on the module after import, as a tracer does, is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.file) or 0)
+    path = sub_file(PD)
+    assert main(["validate", path]) == 0
+    assert seen == [path]
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_seed_for_fixed_point(sub_file, capsys):

@@ -567,6 +567,27 @@ def test_certification_away_from_zero(pd, bigdiag, late_return):
         assert aperiodic_in_range(sub, -5000, -4600, certify=True).inconsistencies == ()
 
 
+def test_certification_samples_each_aperiodic_verdict_once(monkeypatch, pd, bigdiag, late_return):
+    # two letters at the deepest step are two letters at every shallower one
+    calls = []
+    real = toeplitz.sample_progression
+
+    def counted(window, n, step, max_terms=None, stop_at=None):
+        if stop_at == 2:
+            calls.append((n, step))
+        return real(window, n, step, max_terms=max_terms, stop_at=stop_at)
+
+    monkeypatch.setattr(toeplitz, "sample_progression", counted)
+    for sub in (pd, bigdiag, late_return):
+        for lo, hi in ((-200, 200), (-5000, -4600)):
+            calls.clear()
+            report = aperiodic_in_range(sub, lo, hi, certify=True)
+            assert report.inconsistencies == ()
+            deepest = sub.length**toeplitz.CERTIFY_DEPTH
+            assert calls == [(n, deepest) for n in report.aperiodic], (str(sub), lo, hi)
+    assert aperiodic_in_range(bigdiag, -200, 200).aperiodic  # the counts above are not vacuous
+
+
 def test_certification_reads_every_sampled_term(monkeypatch, pd, bigdiag, late_return):
     # a wrong letter planted at the farthest term that the first or the last
     # member of a class samples must be reported as the per-index samples report it
