@@ -145,8 +145,6 @@ class Dfao:
         if lo > hi:
             return ()
         columns = list(zip(*self.delta))
-        if self.num_states <= 256:  # one byte per state: bytes.translate gathers a column
-            columns = [bytes(column).ljust(256, b"\0") for column in columns]
         word: list[str] = []
         if lo < 0:
             if self.initial_neg is None:
@@ -161,12 +159,10 @@ class Dfao:
         word += map(names.__getitem__, nonneg[max(lo, 0) :])
         return tuple(word)
 
-    def _level_walk(self, columns, start: int, count: int, marked: int, pad: int):
+    def _level_walk(self, columns, start: int, count: int, marked: int, pad: int) -> list[int]:
         """States after the word of every m < count, read from ``start``.
 
-        ``columns[d]`` holds every state's successor on digit d: a bytes
-        translation table when the states fit in a byte, so that a level is
-        bytes, and a tuple otherwise, so that a level is a list.  The word of
+        ``columns[d]`` holds every state's successor on digit d.  The word of
         m is its canonical digits behind ``marked`` leading zeros, padded with
         more leading zeros to a multiple of ``pad`` digits (on the negative
         side the columns come in reverse order, so these zeros are markers).
@@ -174,9 +170,8 @@ class Dfao:
         its word.
         """
         ell = self.ell
-        small = isinstance(columns[0], bytes)
-        states = bytes((start,)) if small else [start]
-        found = states[:0]
+        states = [start]
+        found: list[int] = []
         width = 1  # ell**k; level k holds the k-digit words of 0 .. min(ell**k, count) - 1
         k = 0
         while True:
@@ -187,14 +182,13 @@ class Dfao:
             if self.reading == DIRECT:  # word of q*ell + d = word of q, then d
                 parents = states[: -(-count // ell)]
                 take = _gather(parents)
-                size = len(parents) * ell
-                states = bytearray(size) if small else [0] * size
+                states = [0] * (len(parents) * ell)
                 for d, column in enumerate(columns):
                     states[d::ell] = take(column)
                 del states[count:]
             else:  # word of j + d*ell**k = word of j, then d
                 moved = map(_gather(states), columns[: -(-count // len(states))])
-                states = (b"".join(moved) if small else list(chain.from_iterable(moved)))[:count]
+                states = list(chain.from_iterable(moved))[:count]
             width *= ell
             k += 1
 
@@ -327,15 +321,12 @@ class Dfao:
         return "\n".join(lines) + "\n"
 
 
-def _gather(states):
+def _gather(states: list[int]):
     """The C-level map from a digit column to its entries at ``states``.
 
-    Byte states gather through a column's translation table; a list of
-    states through ``itemgetter``, whose one-index form returns the bare
-    entry, so one state is wrapped by hand.
+    ``itemgetter`` of one index returns the bare entry, not a tuple, so one
+    state is wrapped by hand.
     """
-    if not isinstance(states, list):
-        return states.translate
     if len(states) == 1:
         (s,) = states
         return lambda column: (column[s],)

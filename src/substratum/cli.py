@@ -353,12 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once at import: every main call in a process parses with it
-PARSER = build_parser()
+# built by the first main call, so that importing this module builds nothing;
+# every later call in the process parses with it
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     # the verb's function is looked up when it runs, so a wrapper put in
     # its place on this module (a tracer's, a test's) is the one called
     command = globals()["cmd_" + args.verb.replace("-", "_")]

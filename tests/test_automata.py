@@ -88,7 +88,7 @@ def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_
     for sub in (pd, pd2, bigdiag, thue_morse, periodic_right_seed, six_letter):
         for machine in (build_direct(sub), build_reverse_semigroup(sub).dfao):
             machines += [machine, minimize(machine)]
-    # states past a byte gather through itemgetter, one index included
+    # a machine of more states than a byte holds
     assert build_reverse_semigroup(six_letter).num_states > 256
     assert build_direct(periodic_right_seed).pad_nonneg == 2  # a padded direct machine
     # a reverse machine read back with pads, which then apply as in run()

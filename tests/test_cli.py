@@ -264,12 +264,14 @@ def test_deterministic_output(sub_file, capsys):
 
 
 def test_main_calls_share_one_parser(sub_file, capsys, monkeypatch):
-    # the parser is built once at import; a verb, a usage error or --help
-    # before a check leaves that check's output and exit code as they were
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    # the first main call builds the parser and later ones reuse it; a verb,
+    # a usage error or --help before a check leaves that check's output and
+    # exit code as they were
+    monkeypatch.setattr(cli, "_parser", None)
     path = sub_file(PD)
     assert main(["check", path]) == 0
     expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a second parser"))
     # validate returns 0; argparse exits 2 on a usage error and 0 after help
     for argv, exit_code in (
         (["validate", path], None),
