@@ -56,10 +56,12 @@ REVERSE = "reverse"
 class Dfao:
     """A deterministic finite automaton with per-side outputs.
 
-    :meth:`run` reads one index in O(log |n|) table steps; :meth:`run_range`
-    reads a window around 0 level by level, because the digit words of its
-    indices share their prefixes, moving each level through each digit column
-    in one C-level gather.
+    ``out_nonneg[s]`` and ``out_neg[s]`` are the letters of the sequence that
+    state s outputs on the non-negative and the negative side.  :meth:`run`
+    reads one index in O(log |n|) table steps; :meth:`run_range` reads a
+    window around 0 level by level, because the digit words of its indices
+    share their prefixes, moving each level through each digit column in one
+    C-level gather.
     """
 
     ell: int
@@ -67,9 +69,8 @@ class Dfao:
     delta: tuple[tuple[int, ...], ...]
     initial_nonneg: int
     initial_neg: int | None
-    out_alphabet: tuple[str, ...]
-    out_nonneg: tuple[int, ...]
-    out_neg: tuple[int, ...] | None
+    out_nonneg: tuple[str, ...]
+    out_neg: tuple[str, ...] | None
     reading: str
     pad_nonneg: int = 1
     pad_neg: int = 1
@@ -77,6 +78,10 @@ class Dfao:
     def __post_init__(self) -> None:
         if self.ell < 2:
             raise BadBase(f"base must be >= 2, got {self.ell}")
+        if self.reading not in (DIRECT, REVERSE):
+            raise InputError(f"reading must be {DIRECT!r} or {REVERSE!r}, got {self.reading!r}")
+        if self.pad_nonneg < 1 or self.pad_neg < 1:
+            raise InputError(f"pads must be >= 1, got {self.pad_nonneg} and {self.pad_neg}")
         n = len(self.labels)
         if len(self.delta) != n or len(self.out_nonneg) != n:
             raise UnknownLetter("state tables must agree with the label list")
@@ -85,6 +90,11 @@ class Dfao:
                 raise DigitOutOfRange("transition table must be total over the digits")
         if (self.initial_neg is None) != (self.out_neg is None):
             raise NoNegativeSide("negative side needs both an initial state and outputs")
+        if self.out_neg is not None and len(self.out_neg) != n:
+            raise UnknownLetter("state tables must agree with the label list")
+        for initial in (self.initial_nonneg, self.initial_neg):
+            if initial is not None and not 0 <= initial < n:
+                raise UnknownLetter(f"initial state {initial} outside 0..{n - 1}")
 
     @property
     def num_states(self) -> int:
@@ -113,7 +123,7 @@ class Dfao:
             if not 0 <= d < self.ell:
                 raise DigitOutOfRange(f"digit {d} outside base {self.ell}")
             state = self.delta[state][d]
-        return self.out_alphabet[outputs[state]]
+        return outputs[state]
 
     def run(self, n: int) -> str:
         """The sequence entry u_n, from the canonical expansion of n."""
@@ -129,7 +139,7 @@ class Dfao:
         delta = self.delta
         for d in digits if self.reading == DIRECT else reversed(digits):
             state = delta[state][d]
-        return self.out_alphabet[outputs[state]]
+        return outputs[state]
 
     def run_range(self, lo: int, hi: int) -> tuple[str, ...]:
         """``tuple(self.run(n) for n in range(lo, hi + 1))``, a few gathers per digit level.
@@ -151,12 +161,10 @@ class Dfao:
                 raise NoNegativeSide("machine has no negative-side initial state")
             # complementing every digit of a word reads the columns in reverse order
             neg = self._level_walk(columns[::-1], self.initial_neg, -lo, 1, self.pad_neg)
-            names = tuple(map(self.out_alphabet.__getitem__, self.out_neg))
             # index n < 0 is neg[-1 - n]: read neg backwards, down to n = min(hi, -1)
-            word += map(names.__getitem__, neg[max(-1 - hi, 0) :][::-1])
+            word += map(self.out_neg.__getitem__, neg[max(-1 - hi, 0) :][::-1])
         nonneg = self._level_walk(columns, self.initial_nonneg, hi + 1, 0, self.pad_nonneg)
-        names = tuple(map(self.out_alphabet.__getitem__, self.out_nonneg))
-        word += map(names.__getitem__, nonneg[max(lo, 0) :])
+        word += map(self.out_nonneg.__getitem__, nonneg[max(lo, 0) :])
         return tuple(word)
 
     def _level_walk(self, columns, start: int, count: int, marked: int, pad: int) -> list[int]:
@@ -220,81 +228,14 @@ class Dfao:
                 "neg": names[self.initial_neg] if self.initial_neg is not None else None,
             },
             "outputs": {
-                "nonneg": {names[s]: self.out_alphabet[self.out_nonneg[s]] for s in range(self.num_states)},
-                "neg": (
-                    {names[s]: self.out_alphabet[self.out_neg[s]] for s in range(self.num_states)}
-                    if self.out_neg is not None
-                    else None
-                ),
+                "nonneg": dict(zip(names, self.out_nonneg)),
+                "neg": dict(zip(names, self.out_neg)) if self.out_neg is not None else None,
             },
             "reading": self.reading,
         }
         if (self.pad_nonneg, self.pad_neg) != (1, 1):
             out["pads"] = [self.pad_nonneg, self.pad_neg]
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Dfao":
-        """Read :meth:`to_json_dict`'s format.
-
-        ``ell`` must be an integer >= 2 and the optional ``pads`` two
-        integers >= 1.  Every state's ``delta`` row must map the digits below
-        ``ell``, and no other key, to listed states, and each side's outputs
-        must map exactly the listed states.  Anything else, or an unknown
-        initial state, is invalid input.
-        """
-        names = list(data["states"])
-        index = {name: i for i, name in enumerate(names)}
-
-        def state(name) -> int:
-            if not isinstance(name, str) or name not in index:
-                raise UnknownLetter(f"unknown state {name!r}")
-            return index[name]
-
-        ell = data["ell"]
-        if type(ell) is not int or ell < 2:
-            raise BadBase(f"ell must be an integer >= 2, got {ell!r}")
-        pads = data.get("pads", [1, 1])
-        if not (
-            isinstance(pads, (list, tuple))
-            and len(pads) == 2
-            and all(type(p) is int and p >= 1 for p in pads)
-        ):
-            raise InputError(f"pads must be two integers >= 1, got {pads!r}")
-        digits = [str(d) for d in range(ell)]
-        rows = data["delta"]
-        delta = []
-        for name in names:
-            row = rows.get(name)
-            if not isinstance(row, dict) or row.keys() != set(digits):
-                raise DigitOutOfRange(f"state {name!r} needs one transition per digit 0..{ell - 1}")
-            delta.append(tuple(state(row[d]) for d in digits))
-        for side in ("nonneg", "neg"):
-            mapping = data["outputs"].get(side)
-            if side == "neg" and not mapping:
-                continue  # a one-sided machine
-            if not isinstance(mapping, dict) or mapping.keys() != index.keys():
-                raise UnknownLetter(f"the {side} outputs must map every state, and nothing else")
-        letters = sorted({v for m in data["outputs"].values() if m for v in m.values()})
-        out_alphabet = tuple(letters)
-        letter_index = {v: i for i, v in enumerate(out_alphabet)}
-        out_nonneg = tuple(letter_index[data["outputs"]["nonneg"][name]] for name in names)
-        neg_map = data["outputs"].get("neg")
-        out_neg = tuple(letter_index[neg_map[name]] for name in names) if neg_map else None
-        init = data["initial"]
-        return cls(
-            ell=ell,
-            labels=tuple(names),
-            delta=tuple(delta),
-            initial_nonneg=state(init["nonneg"]),
-            initial_neg=state(init["neg"]) if init.get("neg") is not None else None,
-            out_alphabet=out_alphabet,
-            out_nonneg=out_nonneg,
-            out_neg=out_neg,
-            reading=data["reading"],
-            pad_nonneg=pads[0],
-            pad_neg=pads[1],
-        )
 
     def to_dot(self) -> str:
         names = self.state_names()
@@ -341,21 +282,16 @@ def build_direct(sub: Substitution) -> Dfao:
     if sub.seed is None:
         raise SeedMissing("the direct machine needs a seed for its initial states")
     a_l, a_r = sub.seed
-    cols = sub.columns()
-    delta = tuple(
-        tuple(cols[d].table[a] for d in range(sub.length)) for a in range(len(sub.alphabet))
-    )
-    identity_out = tuple(range(len(sub.alphabet)))
+    letters = sub.alphabet.letters
     p_r, p_l = sub.seed_periods()
     return Dfao(
         ell=sub.length,
-        labels=tuple(sub.alphabet.letters),
-        delta=delta,
+        labels=letters,
+        delta=sub.rules,  # row a is theta(a): digit d leads to its d-th letter
         initial_nonneg=a_r,
         initial_neg=a_l,
-        out_alphabet=tuple(sub.alphabet.letters),
-        out_nonneg=identity_out,
-        out_neg=identity_out,
+        out_nonneg=letters,
+        out_neg=letters,
         reading=DIRECT,
         pad_nonneg=p_r,
         pad_neg=p_l,
@@ -454,7 +390,7 @@ def _determinize(dfao: Dfao):
 
     states, delta = _breadth_first((0, 0), successors, limit)
 
-    def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[int, ...]:
+    def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[str, ...]:
         anchors = [initial]
         for _ in range(pad - 1):
             anchors.append(dfao.delta[anchors[-1]][tail_digit])
@@ -466,7 +402,6 @@ def _determinize(dfao: Dfao):
         delta=delta,
         initial_nonneg=0,
         initial_neg=0 if two_sided else None,
-        out_alphabet=dfao.out_alphabet,
         out_nonneg=outputs(dfao.initial_nonneg, dfao.pad_nonneg, 0, dfao.out_nonneg),
         out_neg=(
             outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg) if two_sided else None
@@ -607,7 +542,7 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
         o2 = m2.out_nonneg if side == "nonneg" else m2.out_neg
 
         def mismatch(pair) -> bool:
-            return m1.out_alphabet[o1[pair[0]]] != m2.out_alphabet[o2[pair[1]]]
+            return o1[pair[0]] != o2[pair[1]]
 
         if side == "nonneg" and mismatch((s1, s2)):
             return EquivalenceResult(False, 0)  # the empty word is n = 0

@@ -86,7 +86,8 @@ def cmd_fixed_point(args) -> int:
         word = machine.run_range(lo, hi)
     else:  # O(log |n|) steps per index, however far the window lies
         word = tuple(machine.run(n) for n in range(lo, hi + 1))
-    print(sub.alphabet.word_str(tuple(sub.alphabet.index(s) for s in word)))
+    sep = "" if all(len(letter) == 1 for letter in sub.alphabet) else " "  # as Alphabet.word_str
+    print(sep.join(word))
     return 0
 
 
@@ -109,8 +110,8 @@ def cmd_automaton(args) -> int:
         print(f"initial: nonneg={names[machine.initial_nonneg]} neg={init_neg}")
         for s in range(machine.num_states):
             row = " ".join(f"{d}->{names[machine.delta[s][d]]}" for d in range(machine.ell))
-            out_r = machine.out_alphabet[machine.out_nonneg[s]]
-            out_l = machine.out_alphabet[machine.out_neg[s]] if machine.out_neg else "-"
+            out_r = machine.out_nonneg[s]
+            out_l = machine.out_neg[s] if machine.out_neg else "-"
             print(f"{names[s]:>16}  {row}  out+={out_r} out-={out_l}")
     return 0
 

@@ -89,13 +89,12 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     columns = list(zip(*delta))
     for n in range(1, SAMPLE_LENGTH):
         after.append(tuple(map(after[n // ell].__getitem__, columns[n % ell])))
-    letter = tuple(dfao.out_alphabet[o] for o in dfao.out_nonneg)  # per state
     return tuple(
         KernelElement(
             class_map=machine.state_maps[s],
             e=e,
             j=j,
-            sample=tuple(letter[row[s]] for row in after),
+            sample=tuple(dfao.out_nonneg[row[s]] for row in after),
         )
         for e, j, s in witnesses.values()
     )

@@ -136,6 +136,17 @@ def test_fixed_point_negative_range(sub_file, capsys):
     assert capsys.readouterr().out.strip() == "ba"
 
 
+def test_fixed_point_spaces_letters_when_the_alphabet_has_a_wide_one(sub_file, capsys):
+    # period doubling with b written "yy": u_0..u_5 = a b a a a b
+    rules = {"x": ["x", "yy"], "yy": ["x", "x"]}
+    wide = {"alphabet": ["x", "yy"], "length": 2, "rules": rules, "seed": ["x", "x"]}
+    assert main(["fixed-point", sub_file(wide), "--range", "0..5"]) == 0
+    assert capsys.readouterr().out == "x yy x x x yy\n"
+    # the rule reads the alphabet, not the window: three one-character letters
+    assert main(["fixed-point", sub_file(wide), "--range", "2..4"]) == 0
+    assert capsys.readouterr().out == "x x x\n"
+
+
 def test_fixed_point_far_range_reads_the_direct_machine(sub_file, capsys):
     # period-doubling: u_n = a iff the 2-adic valuation of n + 1 is even
     def letter(n):

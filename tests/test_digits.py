@@ -46,7 +46,7 @@ def _run_by_low_first(machine, n):
         digits += (filler,) * (step - len(digits) % step)
     for d in reversed(digits) if machine.reading == DIRECT else digits:
         state = machine.delta[state][d]
-    return machine.out_alphabet[outputs[state]]
+    return outputs[state]
 
 
 def _chunk_boundaries(base):
