@@ -10,7 +10,6 @@ against a brute-force oracle.
 from .automata import (
     Dfao,
     EquivalenceResult,
-    SemigroupAutomaton,
     build_direct,
     build_reverse_semigroup,
     equivalent,
@@ -25,7 +24,6 @@ from .errors import (
     DigitOutOfRange,
     IndexOutOfWindow,
     InputError,
-    NoNegativeSide,
     NonCanonical,
     NontrivialHeight,
     NotToeplitz,
@@ -68,7 +66,6 @@ __all__ = [
     "to_int",
     "pad",
     "Dfao",
-    "SemigroupAutomaton",
     "EquivalenceResult",
     "build_direct",
     "build_reverse_semigroup",
@@ -111,5 +108,4 @@ __all__ = [
     "NontrivialHeight",
     "WindowTooShort",
     "IndexOutOfWindow",
-    "NoNegativeSide",
 ]

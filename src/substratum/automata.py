@@ -6,8 +6,7 @@ Conventions for a base-ell machine generating a two-sided sequence u:
 * non-negative n is fed as its canonical expansion, negative n as the
   marker-prefixed canonical word ``ell-1 d_k ... d_0``;
 * direct reading consumes the most significant digit first, reverse reading
-  the least significant first (so the marker of a negative word arrives last);
-* a one-sided machine omits the negative initial state and output map.
+  the least significant first (so the marker of a negative word arrives last).
 
 Seed letters that are merely periodic (not fixed) under the end columns force
 digit words whose lengths are multiples of the seed period.  Direct machines
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -41,7 +40,6 @@ from .errors import (
     BadBase,
     DigitOutOfRange,
     InputError,
-    NoNegativeSide,
     SeedMissing,
     UnknownLetter,
 )
@@ -56,21 +54,22 @@ REVERSE = "reverse"
 class Dfao:
     """A deterministic finite automaton with per-side outputs.
 
-    ``out_nonneg[s]`` and ``out_neg[s]`` are the letters of the sequence that
-    state s outputs on the non-negative and the negative side.  :meth:`run`
-    reads one index in O(log |n|) table steps; :meth:`run_range` reads a
-    window around 0 level by level, because the digit words of its indices
-    share their prefixes, moving each level through each digit column in one
-    C-level gather.
+    Every machine has both sides: ``out_nonneg[s]`` and ``out_neg[s]`` are the
+    letters of the sequence that state s outputs on the non-negative and the
+    negative side, read from ``initial_nonneg`` and ``initial_neg``.
+    :meth:`run` reads one index in O(log |n|) table steps; :meth:`run_range`
+    reads a window around 0 level by level, because the digit words of its
+    indices share their prefixes, moving each level through each digit column
+    in one C-level gather.
     """
 
     ell: int
     labels: tuple[str, ...]
     delta: tuple[tuple[int, ...], ...]
     initial_nonneg: int
-    initial_neg: int | None
+    initial_neg: int
     out_nonneg: tuple[str, ...]
-    out_neg: tuple[str, ...] | None
+    out_neg: tuple[str, ...]
     reading: str
     pad_nonneg: int = 1
     pad_neg: int = 1
@@ -83,25 +82,25 @@ class Dfao:
         if self.pad_nonneg < 1 or self.pad_neg < 1:
             raise InputError(f"pads must be >= 1, got {self.pad_nonneg} and {self.pad_neg}")
         n = len(self.labels)
-        if len(self.delta) != n or len(self.out_nonneg) != n:
+        if any(table is None or len(table) != n for table in (self.delta, self.out_nonneg, self.out_neg)):
             raise UnknownLetter("state tables must agree with the label list")
         for row in self.delta:
             if len(row) != self.ell or min(row) < 0 or max(row) >= n:
                 raise DigitOutOfRange("transition table must be total over the digits")
-        if (self.initial_neg is None) != (self.out_neg is None):
-            raise NoNegativeSide("negative side needs both an initial state and outputs")
-        if self.out_neg is not None and len(self.out_neg) != n:
-            raise UnknownLetter("state tables must agree with the label list")
         for initial in (self.initial_nonneg, self.initial_neg):
-            if initial is not None and not 0 <= initial < n:
+            if initial is None or not 0 <= initial < n:
                 raise UnknownLetter(f"initial state {initial} outside 0..{n - 1}")
 
     @property
     def num_states(self) -> int:
         return len(self.labels)
 
-    def two_sided(self) -> bool:
-        return self.initial_neg is not None
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[d][s] == delta[s][d]``: every state's successor on digit d,
+        built on first use and kept in the instance ``__dict__`` (so the
+        dataclass must not use slots)."""
+        return tuple(zip(*self.delta))
 
     # -- running -------------------------------------------------------
 
@@ -114,8 +113,6 @@ class Dfao:
         elif side != "neg":
             raise ValueError(f"side must be 'nonneg' or 'neg', got {side!r}")
         else:
-            if self.initial_neg is None:
-                raise NoNegativeSide("machine has no negative-side initial state")
             state = self.initial_neg
             outputs = self.out_neg
         order = word if self.reading == DIRECT else reversed(word)
@@ -131,8 +128,6 @@ class Dfao:
         if n >= 0:
             state, outputs, pad, filler = self.initial_nonneg, self.out_nonneg, self.pad_nonneg, 0
         else:
-            if self.initial_neg is None:
-                raise NoNegativeSide("machine has no negative-side initial state")
             state, outputs, pad, filler = self.initial_neg, self.out_neg, self.pad_neg, self.ell - 1
         if pad > 1 and len(digits) % pad:
             digits = (filler,) * (pad - len(digits) % pad) + digits
@@ -154,11 +149,9 @@ class Dfao:
         """
         if lo > hi:
             return ()
-        columns = list(zip(*self.delta))
+        columns = self.columns
         word: list[str] = []
         if lo < 0:
-            if self.initial_neg is None:
-                raise NoNegativeSide("machine has no negative-side initial state")
             # complementing every digit of a word reads the columns in reverse order
             neg = self._level_walk(columns[::-1], self.initial_neg, -lo, 1, self.pad_neg)
             # index n < 0 is neg[-1 - n]: read neg backwards, down to n = min(hi, -1)
@@ -225,11 +218,11 @@ class Dfao:
             },
             "initial": {
                 "nonneg": names[self.initial_nonneg],
-                "neg": names[self.initial_neg] if self.initial_neg is not None else None,
+                "neg": names[self.initial_neg],
             },
             "outputs": {
                 "nonneg": dict(zip(names, self.out_nonneg)),
-                "neg": dict(zip(names, self.out_neg)) if self.out_neg is not None else None,
+                "neg": dict(zip(names, self.out_neg)),
             },
             "reading": self.reading,
         }
@@ -246,9 +239,8 @@ class Dfao:
         lines = ["digraph dfao {", "  rankdir=LR;", '  node [shape=circle, fontsize=11];']
         lines.append('  __nonneg [shape=none, label="ℕ₀"];')
         lines.append(f'  __nonneg -> "{names[self.initial_nonneg]}";')
-        if self.initial_neg is not None:
-            lines.append('  __neg [shape=none, label="−ℕ"];')
-            lines.append(f'  __neg -> "{names[self.initial_neg]}";')
+        lines.append('  __neg [shape=none, label="−ℕ"];')
+        lines.append(f'  __neg -> "{names[self.initial_neg]}";')
         for s in order:
             lines.append(f'  "{names[s]}";')
         for s in order:
@@ -301,28 +293,7 @@ def build_direct(sub: Substitution) -> Dfao:
 # -- the semigroup-labelled reverse machine --------------------------------
 
 
-@dataclass(frozen=True)
-class SemigroupAutomaton:
-    """A reverse-reading Dfao whose states are labelled by column maps.
-
-    A state is a column map and a word length modulo the seed period, the
-    label ``vector@phase`` when that period exceeds 1.  When the seed letters
-    are fixed by the end columns, the states are exactly the monoid generated
-    by id and the columns.
-    """
-
-    dfao: Dfao
-    state_maps: tuple[ColumnMap, ...]
-
-    @property
-    def num_states(self) -> int:
-        return self.dfao.num_states
-
-    def run(self, n: int) -> str:
-        return self.dfao.run(n)
-
-
-def build_reverse_semigroup(sub: Substitution) -> SemigroupAutomaton:
+def build_reverse_semigroup(sub: Substitution) -> Dfao:
     """Reverse-reading machine with delta(s, i) = s ∘ theta_i from the identity.
 
     It is the reversal of the direct machine: the transition maps of that
@@ -331,26 +302,30 @@ def build_reverse_semigroup(sub: Substitution) -> SemigroupAutomaton:
     columns when the word length phase requires it; feeding the canonical
     expansion of n therefore yields u_n on either side.
 
+    A state is a column map and a word length modulo the seed period, the
+    label ``vector@phase`` when that period exceeds 1.  When the seed letters
+    are fixed by the end columns, the states are exactly the monoid generated
+    by id and the columns.
+
     The machine is built once per substitution and state budget and then
     shared: the kernel, the Toeplitz gate and ``check`` all read this object.
     """
     if sub.seed is None:
         raise SeedMissing("the reverse machine needs a seed for its outputs")
-    return _reverse_semigroup(sub, word_budget())
+    return _reverse_semigroup(sub, word_budget())[0]
 
 
 @lru_cache(maxsize=None)
-def _reverse_semigroup(sub: Substitution, limit: int) -> SemigroupAutomaton:
-    """Keyed on the budget too, so a changed ``SUBSTRATUM_BUDGET`` applies."""
+def _reverse_semigroup(sub: Substitution, limit: int) -> tuple[Dfao, tuple[ColumnMap, ...]]:
+    """The machine of :func:`build_reverse_semigroup` and the column map of
+    each of its states.  Keyed on the budget too, so a changed
+    ``SUBSTRATUM_BUDGET`` applies."""
     maps, states, dfao = _determinize(build_direct(sub))
     period = sub.seed_period()
     column_maps = [ColumnMap(sub.alphabet, f) for f in maps]
     vectors = [m.vector() for m in column_maps]
     labels = tuple(vectors[i] if period == 1 else f"{vectors[i]}@{phase}" for i, phase in states)
-    return SemigroupAutomaton(
-        dfao=replace(dfao, labels=labels),
-        state_maps=tuple(column_maps[i] for i, _ in states),
-    )
+    return replace(dfao, labels=labels), tuple(column_maps[i] for i, _ in states)
 
 
 # -- reversal by determinization -------------------------------------------
@@ -378,10 +353,9 @@ def _determinize(dfao: Dfao):
     """
     if dfao.reading != DIRECT:
         raise ValueError("reversal expects a direct-reading machine")
-    two_sided = dfao.two_sided()
-    period = math.lcm(dfao.pad_nonneg, dfao.pad_neg if two_sided else 1)
+    period = math.lcm(dfao.pad_nonneg, dfao.pad_neg)
     limit = word_budget()
-    maps, orbit_delta = _orbit(tuple(zip(*dfao.delta)), limit)
+    maps, orbit_delta = _orbit(dfao.columns, limit)
 
     def successors(state):
         node, phase = state
@@ -401,11 +375,9 @@ def _determinize(dfao: Dfao):
         labels=tuple(f"r{i}" for i in range(len(states))),
         delta=delta,
         initial_nonneg=0,
-        initial_neg=0 if two_sided else None,
+        initial_neg=0,
         out_nonneg=outputs(dfao.initial_nonneg, dfao.pad_nonneg, 0, dfao.out_nonneg),
-        out_neg=(
-            outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg) if two_sided else None
-        ),
+        out_neg=outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg),
         reading=REVERSE,
     )
 
@@ -413,11 +385,7 @@ def _determinize(dfao: Dfao):
 # -- minimization -----------------------------------------------------------
 
 
-def _as_dfao(machine) -> Dfao:
-    return machine.dfao if isinstance(machine, SemigroupAutomaton) else machine
-
-
-def minimize(machine) -> Dfao:
+def minimize(dfao: Dfao) -> Dfao:
     """Moore partition refinement; the initial partition keys on both outputs.
 
     Unreachable states are dropped, and the blocks are numbered in the order
@@ -426,21 +394,20 @@ def minimize(machine) -> Dfao:
     so the semigroup-labelled reverse machine and the determinized reversal
     of the direct machine share one run and each keeps its own labels.
     """
-    dfao = _as_dfao(machine)
     rep, block, _ = _moore(dfao)
     return replace(
         dfao,
         labels=tuple(dfao.labels[s] for s in rep),
         delta=tuple(tuple(map(block.__getitem__, dfao.delta[s])) for s in rep),
         initial_nonneg=block[dfao.initial_nonneg],
-        initial_neg=block[dfao.initial_neg] if dfao.initial_neg is not None else None,
+        initial_neg=block[dfao.initial_neg],
         out_nonneg=tuple(dfao.out_nonneg[s] for s in rep),
-        out_neg=tuple(dfao.out_neg[s] for s in rep) if dfao.out_neg is not None else None,
+        out_neg=tuple(dfao.out_neg[s] for s in rep),
     )
 
 
 @lru_cache(maxsize=None)
-def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, out_neg):
+def _partition(delta, initial_nonneg: int, initial_neg: int, out_nonneg, out_neg):
     """Moore refinement of a machine's structure, which leaves out its labels.
 
     Returns ``rep``, the first state of each block along :func:`_reachable_order`
@@ -451,8 +418,6 @@ def _partition(delta, initial_nonneg: int, initial_neg: int | None, out_nonneg, 
     run.
     """
     states = _reachable_order(delta, initial_nonneg, initial_neg)
-    if out_neg is None:
-        out_neg = (-1,) * len(delta)
     block: list = list(zip(out_nonneg, out_neg))  # round 0: each state's output pair
     count = len({block[s] for s in states})
     rounds = 0
@@ -481,10 +446,10 @@ def _moore(dfao: Dfao):
     return _partition(dfao.delta, dfao.initial_nonneg, dfao.initial_neg, dfao.out_nonneg, dfao.out_neg)
 
 
-def _reachable_order(delta, initial_nonneg: int, initial_neg: int | None) -> list[int]:
+def _reachable_order(delta, initial_nonneg: int, initial_neg: int) -> list[int]:
     """States reachable through ``delta`` in BFS order from the initial states."""
     starts = [initial_nonneg]
-    if initial_neg is not None and initial_neg != initial_nonneg:
+    if initial_neg != initial_nonneg:
         starts.append(initial_neg)
     order: list[int] = []
     seen = set(starts)
@@ -508,18 +473,15 @@ class EquivalenceResult:
     witness: int | None
 
 
-def equivalent(machine1, machine2) -> EquivalenceResult:
+def equivalent(m1: Dfao, m2: Dfao) -> EquivalenceResult:
     """Decide exactly whether two machines generate the same two-sided sequence.
 
     Every direct-reading argument is first reversed by
     :func:`reverse_and_determinize`, which folds its pads into a word-length
     phase; one product walk over canonical reverse-read digit words decides.
     """
-    m1, m2 = _as_dfao(machine1), _as_dfao(machine2)
     if m1.ell != m2.ell:
         raise ValueError("machines read different digit alphabets")
-    if m1.two_sided() != m2.two_sided():
-        return EquivalenceResult(False, None)
     m1, m2 = (reverse_and_determinize(m) if m.reading == DIRECT else m for m in (m1, m2))
     return _product_check_reverse(m1, m2)
 
@@ -534,8 +496,6 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
     ell = m1.ell
     marker = ell - 1
     for side in ("nonneg", "neg"):
-        if side == "neg" and not m1.two_sided():
-            break
         s1 = m1.initial_nonneg if side == "nonneg" else m1.initial_neg
         s2 = m2.initial_nonneg if side == "nonneg" else m2.initial_neg
         o1 = m1.out_nonneg if side == "nonneg" else m1.out_neg

@@ -93,10 +93,7 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_automaton(args) -> int:
     sub = load_substitution(args.file)
-    if args.reading == "direct":
-        machine = build_direct(sub)
-    else:
-        machine = build_reverse_semigroup(sub).dfao
+    machine = build_direct(sub) if args.reading == "direct" else build_reverse_semigroup(sub)
     if args.minimize:
         machine = minimize(machine)
     if args.format == "dot":
@@ -106,13 +103,10 @@ def cmd_automaton(args) -> int:
     else:
         names = machine.state_names()
         print(f"reading: {machine.reading}   states: {machine.num_states}   ell: {machine.ell}")
-        init_neg = names[machine.initial_neg] if machine.initial_neg is not None else "-"
-        print(f"initial: nonneg={names[machine.initial_nonneg]} neg={init_neg}")
+        print(f"initial: nonneg={names[machine.initial_nonneg]} neg={names[machine.initial_neg]}")
         for s in range(machine.num_states):
             row = " ".join(f"{d}->{names[machine.delta[s][d]]}" for d in range(machine.ell))
-            out_r = machine.out_nonneg[s]
-            out_l = machine.out_neg[s] if machine.out_neg else "-"
-            print(f"{names[s]:>16}  {row}  out+={out_r} out-={out_l}")
+            print(f"{names[s]:>16}  {row}  out+={machine.out_nonneg[s]} out-={machine.out_neg[s]}")
     return 0
 
 
@@ -224,7 +218,7 @@ def cmd_check(args) -> int:
     reverse = build_reverse_semigroup(sub)
     letters = window.letters[-span - window.lo : span + 1 - window.lo]
     expected = tuple(map(sub.alphabet.letters.__getitem__, letters))
-    for name, machine in (("direct", direct), ("reverse", reverse.dfao)):
+    for name, machine in (("direct", direct), ("reverse", reverse)):
         got = machine.run_range(-span, span)
         bad = []
         if got != expected:  # the mismatch list is built for a failing line only
@@ -285,7 +279,7 @@ def cmd_check(args) -> int:
         padded = digitmod.pad(ds, len(ds) + pad_by)
         if direct.run_word(ds.digits, side) != direct.run_word(padded.digits, side):
             ok = False
-        if reverse.dfao.run_word(ds.digits, side) != reverse.dfao.run_word(padded.digits, side):
+        if reverse.run_word(ds.digits, side) != reverse.run_word(padded.digits, side):
             ok = False
     report("padding invariance", ok)
 

@@ -67,7 +67,3 @@ class WindowTooShort(SubstratumError):
 
 class IndexOutOfWindow(SubstratumError):
     pass
-
-
-class NoNegativeSide(SubstratumError):
-    """A one-sided automaton was asked about a negative index."""

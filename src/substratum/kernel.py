@@ -3,25 +3,27 @@
 The subsequence (u_{ell^e n + j}) is what the reverse machine outputs from the
 state reached by the e digits of j, least significant first.  Two witnesses
 therefore name the same kernel element exactly when their states share a Moore
-block, so the kernel is read off the blocks: a level-by-level walk of the
-machine meets each block first at its least witness (e, j), and at a state
-carrying the element's column map.  Samples come from one table walk over the
-same machine: the state reached by the digits of n is tabulated for all
-states at once, so sample n of every element is a lookup.  The brute-force
-variant extracts subsequences straight from an expanded window and counts
-distinct contents.  Its window is wide enough for every pair of distinct
-minimal states to differ inside it, so within the budget it counts exactly
-the minimal states within e_max digits of the start.
+block (one-sided, a block of the partition that keys every state on its
+non-negative output alone), so the kernel is read off the blocks: a
+level-by-level walk of the machine meets each block first at its least
+witness (e, j), and at a state carrying the element's column map.  Samples
+come from one table walk over the same machine: the state reached by the
+digits of n is tabulated for all states at once, so sample n of every
+element is a lookup.  The brute-force variant extracts subsequences straight
+from an expanded window and counts distinct contents.  Its window is wide
+enough for every pair of distinct minimal states to differ inside it, so
+within the budget it counts exactly the minimal states within e_max digits
+of the start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .automata import _moore, build_reverse_semigroup
+from .automata import _moore, _partition, _reverse_semigroup
 from .errors import WindowTooShort
 from .oracle import Window, window_for_range
-from .substitution import ColumnMap, Substitution
+from .substitution import ColumnMap, Substitution, word_budget
 
 ONE_SIDED = "one-sided"
 TWO_SIDED = "two-sided"
@@ -40,29 +42,31 @@ class KernelElement:
 
 
 def _side_machine(sub: Substitution, side: str):
-    """The reverse machine and its DFAO for ``side``.
+    """The reverse machine, its state maps and its Moore partition for ``side``.
 
-    The one-sided DFAO is the machine with its negative side dropped.
+    The one-sided partition reads the non-negative side alone: it starts
+    from the non-negative initial state and keys every state on its
+    non-negative output, twice.
     """
     if side not in (ONE_SIDED, TWO_SIDED):
         raise ValueError(f"side must be {ONE_SIDED!r} or {TWO_SIDED!r}")
     sub.require_seed()
-    machine = build_reverse_semigroup(sub)
+    dfao, maps = _reverse_semigroup(sub, word_budget())
     if side == ONE_SIDED:
-        return machine, replace(machine.dfao, initial_neg=None, out_neg=None)
-    return machine, machine.dfao
+        start, out = dfao.initial_nonneg, dfao.out_nonneg
+        return dfao, maps, _partition(dfao.delta, start, start, out, out)
+    return dfao, maps, _moore(dfao)
 
 
 def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelElement, ...]:
     """All distinct kernel subsequences: the Moore blocks of the side's reverse machine.
 
-    The one-sided kernel partitions the machine with its negative side
-    dropped.  Elements come in the order of their witnesses; each carries the
+    The one-sided kernel partitions the machine by its non-negative side
+    alone.  Elements come in the order of their witnesses; each carries the
     column map of its witness state and the first ``SAMPLE_LENGTH`` entries
     of its subsequence.
     """
-    machine, dfao = _side_machine(sub, side)
-    block = _moore(dfao)[1]
+    dfao, maps, (_, block, _) = _side_machine(sub, side)
     delta, ell = dfao.delta, sub.length
 
     # level by level, digits outside and parents in increasing j inside: the
@@ -86,12 +90,11 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's,
     # and reading j padded to e digits keeps the output u_j
     after = [tuple(range(dfao.num_states))]
-    columns = list(zip(*delta))
     for n in range(1, SAMPLE_LENGTH):
-        after.append(tuple(map(after[n // ell].__getitem__, columns[n % ell])))
+        after.append(tuple(map(after[n // ell].__getitem__, dfao.columns[n % ell])))
     return tuple(
         KernelElement(
-            class_map=machine.state_maps[s],
+            class_map=maps[s],
             e=e,
             j=j,
             sample=tuple(dfao.out_nonneg[row[s]] for row in after),
@@ -150,7 +153,7 @@ def brute_force_kernel_for(sub: Substitution, e_max: int, side: str = TWO_SIDED)
     """
     if e_max < 0:
         raise ValueError(f"depth must be >= 0, got {e_max}")
-    rounds = _moore(_side_machine(sub, side)[1])[2]  # the run that minimizing this machine made
+    _, _, (_, _, rounds) = _side_machine(sub, side)
     span = sub.length**e_max * max(sub.length**rounds, MIN_LENGTH)
     window = window_for_range(sub, 0 if side == ONE_SIDED else -span, span - 1)
     return brute_force_kernel(window, sub.length, e_max)

@@ -1,18 +1,19 @@
 """Periodic/aperiodic structure of a coincidence substitution's fixed point.
 
 Every verdict is read off one machine, the reverse-reading semigroup machine
-that :func:`gate` builds once per substitution, and off per-state tables of
-it.  An index n lies in Per exactly when the walk along its ell-adic digit
-stream eventually reaches a constant state.  Constant states absorb, and after
-the canonical digits only the sign's tail digit repeats, so what follows is a
-property of the state reached: the gate walks each tail map, s -> delta(s, 0)
-and s -> delta(s, ell-1), once and tabulates every state's answer and the
-map's cycles.  The reduced graph is the machine minus its constant states:
-its live part, since every state is reached from the identity.  Infinite
-digit streams surviving inside it spell the aperiodic ell-adic addresses,
-and the fixed point is aperiodic exactly when it has a cycle.  The aperiodic
-integers are those whose tail walk ends on a tail map's cycle; the reduced
-graph lists each with the integer its shortest access path spells.
+that :func:`gate` builds once per substitution and budget, and off per-state
+tables of it.  An index n lies in Per exactly when the walk along its ell-adic
+digit stream eventually reaches a constant state.  Constant states absorb, and
+after the canonical digits only the sign's tail digit repeats, so what follows
+is a property of the state reached: the gate walks each tail map,
+s -> delta(s, 0) and s -> delta(s, ell-1), once and tabulates every state's
+answer and the map's cycles.  The reduced graph is the machine minus its
+constant states: its live part, since every state is reached from the
+identity.  Infinite digit streams surviving inside it spell the aperiodic
+ell-adic addresses, and the fixed point is aperiodic exactly when it has a
+cycle.  The aperiodic integers are those whose tail walk ends on a tail map's
+cycle; the reduced graph lists each with the integer its shortest access path
+spells.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import digits as digitmod
-from .automata import SemigroupAutomaton, build_reverse_semigroup
+from .automata import Dfao, _reverse_semigroup
 from .errors import NontrivialHeight, NotToeplitz, Overflow
 from .oracle import sample_progression, window_for_range
 from .substitution import ColumnMap, Substitution, word_budget
@@ -53,19 +54,20 @@ class PeriodicityVerdict:
 class ToeplitzGate:
     """The machine every verdict walks, for an admitted substitution.
 
-    ``constant[s]`` marks the states of ``machine`` whose column map has a
-    one-letter image; ``aperiodic`` tells whether the fixed point is.
+    ``maps[s]`` is the column map of state s of ``machine``, and
+    ``constant[s]`` marks the states whose map has a one-letter image;
+    ``aperiodic`` tells whether the fixed point is.
     ``tails[d]``, for the tail digits d = 0 and d = ell-1, is the pair
     (ends, cycles) of :func:`_tail_table` for the map s -> delta(s, d).
     """
 
     aperiodic: bool
-    machine: SemigroupAutomaton
+    machine: Dfao
+    maps: tuple[ColumnMap, ...]
     constant: tuple[bool, ...]
     tails: dict[int, tuple[tuple, tuple]]
 
 
-@lru_cache(maxsize=None)
 def gate(sub: Substitution) -> ToeplitzGate:
     """Check the preconditions (primitive, height 1, coincidence); cache the result.
 
@@ -75,22 +77,29 @@ def gate(sub: Substitution) -> ToeplitzGate:
     the machine has a cycle (see :func:`_live_part_has_cycle`).  No window
     is expanded.
     """
+    return _gate(sub, word_budget())
+
+
+@lru_cache(maxsize=None)
+def _gate(sub: Substitution, limit: int) -> ToeplitzGate:
+    """Keyed on the budget too, so a changed ``SUBSTRATUM_BUDGET`` applies."""
     if not sub.is_primitive():
         raise NotToeplitz("the decision procedure needs a primitive substitution")
     sub.require_seed()
     h = sub.height()
     if h != 1:
         raise NontrivialHeight(f"height {h} > 1: pure base construction not provided")
-    machine = build_reverse_semigroup(sub)
-    sizes = [m.image_size() for m in machine.state_maps]
+    machine, maps = _reverse_semigroup(sub, limit)
+    sizes = [m.image_size() for m in maps]
     c = min(sizes)
     if c != 1:
         raise NotToeplitz(f"column number {c} != 1: the shift is not Toeplitz")
     constant = tuple(size == 1 for size in sizes)
-    delta = machine.dfao.delta
+    delta = machine.delta
     return ToeplitzGate(
         aperiodic=_live_part_has_cycle(delta, constant),
         machine=machine,
+        maps=maps,
         constant=constant,
         tails={d: _tail_table(delta, d, constant) for d in (0, sub.length - 1)},
     )
@@ -174,26 +183,31 @@ def decide_per(sub: Substitution, n: int) -> PeriodicityVerdict:
 def _walk(g: ToeplitzGate, sub: Substitution, n: int) -> PeriodicityVerdict:
     """:func:`decide_per`'s walk for n on the gate ``g`` of ``sub``."""
     ell = sub.length
-    delta, maps, constant = g.machine.dfao.delta, g.machine.state_maps, g.constant
+    delta, constant = g.machine.delta, g.constant
     s = k = 0  # the initial state is the identity
     for d in digitmod._low_first(n, ell):
         if constant[s]:
             break
         s, k = delta[s][d], k + 1
     steps, s = g.tails[0 if n >= 0 else ell - 1][0][s]
-    state = maps[s]
-    periodic = steps is not None
-    return _verdict(
-        n,
-        {
-            "status": PERIODIC if periodic else APERIODIC,
-            "exponent": k + steps if periodic else None,
-            "period": ell ** (k + steps) if periodic else None,
-            "letter": sub.alphabet.letters[state.table[0]] if periodic else None,
-            "state_pos": state,
-            "state_neg": maps[delta[s][ell - 1]],
-        },
-    )
+    return _verdict(n, _fields(g, sub, s, None if steps is None else k + steps))
+
+
+def _fields(g: ToeplitzGate, sub: Substitution, s: int, exponent: int | None) -> dict:
+    """The six verdict fields after the index, in field order, for a walk that
+    ends at state s: periodic with period ell^exponent, or aperiodic when
+    ``exponent`` is None."""
+    ell = sub.length
+    pos = g.maps[s]
+    periodic = exponent is not None
+    return {
+        "status": PERIODIC if periodic else APERIODIC,
+        "exponent": exponent,
+        "period": ell**exponent if periodic else None,
+        "letter": sub.alphabet.letters[pos.table[0]] if periodic else None,
+        "state_pos": pos,
+        "state_neg": g.maps[g.machine.delta[s][ell - 1]],
+    }
 
 
 def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdict, ...]:
@@ -218,8 +232,7 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
         raise Overflow(f"range of {width} indices exceeds budget {limit}")
     g = gate(sub)
     ell = sub.length
-    delta, maps, constant = g.machine.dfao.delta, g.machine.state_maps, g.constant
-    letters = sub.alphabet.letters
+    delta, constant = g.machine.delta, g.constant
     verdicts: list = [None] * (hi - lo + 1)
     level = [(0, 0)]  # (residue, state); level 0 is r = 0 at the identity
     k, step = 0, 1
@@ -228,15 +241,7 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
         for r, s in level:
             if constant[s]:
                 first = lo + (r - lo) % step  # the least index of the class in [lo, hi]
-                pos = maps[s]
-                fields = {
-                    "status": PERIODIC,
-                    "exponent": k,
-                    "period": step,
-                    "letter": letters[pos.table[0]],
-                    "state_pos": pos,
-                    "state_neg": maps[delta[s][ell - 1]],
-                }
+                fields = _fields(g, sub, s, k)
                 verdicts[first - lo :: step] = [
                     _verdict(n, fields) for n in range(first, hi + 1, step)
                 ]
@@ -397,10 +402,10 @@ class CycleInfo:
 
 @dataclass(frozen=True)
 class ReducedGraph:
-    """Semigroup automaton minus its constant states and the edges into them,
+    """The reverse machine minus its constant states and the edges into them,
     with every cycle of its two tail maps that the identity reaches."""
 
-    machine: SemigroupAutomaton
+    machine: Dfao
     vertices: tuple[int, ...]
     vertex_labels: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]  # (source, digit, target)
@@ -410,7 +415,7 @@ class ReducedGraph:
     def to_dot(self) -> str:
         lines = ["digraph reduced {", "  rankdir=LR;", "  node [shape=circle, fontsize=11];"]
         names = {v: self.vertex_labels[i] for i, v in enumerate(self.vertices)}
-        initial = self.machine.dfao.initial_nonneg
+        initial = self.machine.initial_nonneg
         if initial in names:
             lines.append('  __init [shape=none, label=""];')
             lines.append(f'  __init -> "{names[initial]}";')
@@ -439,11 +444,10 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
     """
     g = gate(sub)
     machine = g.machine
-    dfao = machine.dfao
-    delta, ell = dfao.delta, dfao.ell
-    keep = [s for s in range(dfao.num_states) if not g.constant[s]]
+    delta, ell = machine.delta, machine.ell
+    keep = [s for s in range(machine.num_states) if not g.constant[s]]
     edges = tuple((s, d, t) for s in keep for d, t in enumerate(delta[s]) if not g.constant[t])
-    paths = _shortest_paths(dfao.initial_nonneg, delta, g.constant)
+    paths = _shortest_paths(machine.initial_nonneg, delta, g.constant)
     infos = []
     for digit, (_, cycles) in g.tails.items():
         for cycle in cycles:
@@ -462,9 +466,9 @@ def reduced_graph(sub: Substitution) -> ReducedGraph:
     return ReducedGraph(
         machine=machine,
         vertices=tuple(keep),
-        vertex_labels=tuple(dfao.labels[s] for s in keep),
+        vertex_labels=tuple(machine.labels[s] for s in keep),
         edges=edges,
-        removed=dfao.num_states - len(keep),
+        removed=machine.num_states - len(keep),
         cycles=tuple(infos),
     )
 

@@ -138,7 +138,7 @@ def test_criterion_8_property_suites(pd, pd2, bigdiag):
         # padding invariance of run
         for sub in (pd2, bigdiag):
             direct = build_direct(sub)
-            reverse = build_reverse_semigroup(sub).dfao
+            reverse = build_reverse_semigroup(sub)
             p_r, p_l = sub.seed_periods()
             for n in range(-64, 65):
                 step = p_r if n >= 0 else p_l

@@ -7,7 +7,6 @@ import pytest
 from substratum import (
     Dfao,
     InputError,
-    NoNegativeSide,
     SeedMissing,
     StateExplosion,
     Substitution,
@@ -23,6 +22,7 @@ from substratum import (
     pad,
     window_for_range,
 )
+from substratum.substitution import word_budget
 from substratum import automata, semigroup
 from substratum.automata import _reachable_order
 
@@ -78,19 +78,19 @@ def test_machines_agree_with_oracle(pd, pd2, bigdiag, thue_morse, span):
             assert direct.run(n) == expected
             assert reverse.run(n) == expected
         letters = tuple(window.letter(n) for n in range(-span, span + 1))
-        assert direct.run_range(-span, span) == reverse.dfao.run_range(-span, span) == letters
+        assert direct.run_range(-span, span) == reverse.run_range(-span, span) == letters
 
 
 def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_right_seed, six_letter):
     machines = []
     for sub in (pd, pd2, bigdiag, thue_morse, periodic_right_seed, six_letter):
-        for machine in (build_direct(sub), build_reverse_semigroup(sub).dfao):
+        for machine in (build_direct(sub), build_reverse_semigroup(sub)):
             machines += [machine, minimize(machine)]
     # a machine of more states than a byte holds
     assert build_reverse_semigroup(six_letter).num_states > 256
     assert build_direct(periodic_right_seed).pad_nonneg == 2  # a padded direct machine
     # a reverse machine given pads, which then apply as in run()
-    machines.append(replace(build_reverse_semigroup(bigdiag).dfao, pad_nonneg=2, pad_neg=3))
+    machines.append(replace(build_reverse_semigroup(bigdiag), pad_nonneg=2, pad_neg=3))
     # a machine with no padding invariance, so every digit of every word counts
     for reading in ("direct", "reverse"):
         for pads in ((1, 1), (2, 3)):
@@ -116,24 +116,20 @@ def test_run_range_is_run_over_the_range(pd, pd2, bigdiag, thue_morse, periodic_
             ranges += [(p - 2, p + 1), (-p - 2, -p + 1), (-p, p - 1)]
         for lo, hi in ranges:
             assert machine.run_range(lo, hi) == tuple(machine.run(n) for n in range(lo, hi + 1))
-    one_sided = replace(build_reverse_semigroup(bigdiag).dfao, initial_neg=None, out_neg=None)
-    assert one_sided.run_range(0, 30) == tuple(one_sided.run(n) for n in range(31))
-    with pytest.raises(NoNegativeSide):
-        one_sided.run_range(-1, 5)
 
 
 def test_reverse_semigroup_pd2_is_the_three_state_machine(pd2):
     machine = build_reverse_semigroup(pd2)
     assert machine.num_states == 3
-    labels = machine.dfao.labels
+    labels = machine.labels
     assert set(labels) == {"(a,b)^T", "(a,a)^T", "(b,b)^T"}
     ident = labels.index("(a,b)^T")
     const_a = labels.index("(a,a)^T")
     const_b = labels.index("(b,b)^T")
-    assert machine.dfao.initial_nonneg == ident
-    assert machine.dfao.delta[ident] == (const_a, const_b, const_a, ident)
+    assert machine.initial_nonneg == ident
+    assert machine.delta[ident] == (const_a, const_b, const_a, ident)
     for constant in (const_a, const_b):
-        assert machine.dfao.delta[constant] == (constant,) * 4
+        assert machine.delta[constant] == (constant,) * 4
 
 
 def test_reverse_run_zero_is_right_seed(pd2, bigdiag):
@@ -148,15 +144,16 @@ def test_reverse_semigroup_labels_cover_generated_monoid(fixtures, coprime_seed_
 
     periods = set()
     for sub in fixtures + [coprime_seed_periods]:
-        machine = build_reverse_semigroup(sub)
+        machine, maps = automata._reverse_semigroup(sub, word_budget())
+        assert machine is build_reverse_semigroup(sub)
         monoid = closure(list(sub.columns()) + [ColumnMap.identity(sub.alphabet)])
         # the states project onto the orbit's maps, one state per (map, phase),
         # labelled vector@phase when the seed period exceeds 1
-        assert set(machine.state_maps) == set(monoid.elements), str(sub)
+        assert set(maps) == set(monoid.elements), str(sub)
         period = sub.seed_period()
-        labels = machine.dfao.labels
+        labels = machine.labels
         assert len(set(labels)) == len(labels) == machine.num_states, str(sub)
-        for label, state_map in zip(labels, machine.state_maps):
+        for label, state_map in zip(labels, maps):
             vector, _, phase = label.partition("@")
             assert vector == state_map.vector(), str(sub)
             assert (phase == "") == (period == 1), str(sub)
@@ -173,8 +170,9 @@ def test_state_budget_counts_machine_states_not_maps(bigdiag, monkeypatch):
         build_reverse_semigroup(bigdiag)
     monkeypatch.setenv("SUBSTRATUM_BUDGET", "48")
     closure(bigdiag.columns())
-    machine = build_reverse_semigroup(bigdiag)
-    assert (len(set(machine.state_maps)), machine.num_states) == (24, 48)
+    machine, maps = automata._reverse_semigroup(bigdiag, 48)
+    assert machine is build_reverse_semigroup(bigdiag)
+    assert (len(set(maps)), machine.num_states) == (24, 48)
 
 
 def test_reverse_state_budget(bigdiag, monkeypatch):
@@ -214,7 +212,7 @@ def test_reverse_and_determinize_matches_semigroup(pd, pd2, bigdiag):
 
 
 def test_determinize_requires_direct(pd2):
-    machine = build_reverse_semigroup(pd2).dfao
+    machine = build_reverse_semigroup(pd2)
     with pytest.raises(ValueError):
         reverse_and_determinize(machine)
 
@@ -231,9 +229,9 @@ def test_minimize_merges_duplicate_states():
         labels=("p", "q", "r"),
         delta=((1, 2), (1, 2), (2, 1)),
         initial_nonneg=0,
-        initial_neg=None,
+        initial_neg=0,
         out_nonneg=("x", "y", "y"),
-        out_neg=None,
+        out_neg=("x", "y", "y"),
         reading="reverse",
     )
     smaller = minimize(machine)
@@ -256,8 +254,7 @@ def dict_moore_minimize(dfao):
     states = _reachable_order(dfao.delta, dfao.initial_nonneg, dfao.initial_neg)
 
     def out_key(s: int):
-        neg = dfao.out_neg[s] if dfao.out_neg is not None else -1
-        return (dfao.out_nonneg[s], neg)
+        return (dfao.out_nonneg[s], dfao.out_neg[s])
 
     block: dict[int, int] = {}
     keys = sorted({out_key(s) for s in states})
@@ -293,11 +290,9 @@ def dict_moore_minimize(dfao):
         labels=tuple(dfao.labels[rep[b]] for b in block_order),
         delta=delta,
         initial_nonneg=renum[block[dfao.initial_nonneg]],
-        initial_neg=renum[block[dfao.initial_neg]] if dfao.initial_neg is not None else None,
+        initial_neg=renum[block[dfao.initial_neg]],
         out_nonneg=tuple(dfao.out_nonneg[rep[b]] for b in block_order),
-        out_neg=(
-            tuple(dfao.out_neg[rep[b]] for b in block_order) if dfao.out_neg is not None else None
-        ),
+        out_neg=tuple(dfao.out_neg[rep[b]] for b in block_order),
         reading=dfao.reading,
         pad_nonneg=dfao.pad_nonneg,
         pad_neg=dfao.pad_neg,
@@ -308,7 +303,7 @@ def fixture_machines(subs):
     """The direct, reverse and determinized machine of every substitution."""
     for sub in subs:
         direct = build_direct(sub)
-        yield from (direct, build_reverse_semigroup(sub).dfao, reverse_and_determinize(direct))
+        yield from (direct, build_reverse_semigroup(sub), reverse_and_determinize(direct))
 
 
 def toolkit_cache_clears():
@@ -333,7 +328,8 @@ def test_minimize_matches_dict_moore_on_fixtures(request):
     subs = [request.getfixturevalue(name) for name in ALL_FIXTURES]
     for machine in fixture_machines(subs):
         assert minimize(machine) == dict_moore_minimize(machine)
-        one_sided = replace(machine, initial_neg=None, out_neg=None)
+        # the kernel's one-sided key: each state's non-negative output on both sides
+        one_sided = replace(machine, out_neg=machine.out_nonneg)
         assert minimize(one_sided) == dict_moore_minimize(one_sided)
 
 
@@ -356,7 +352,7 @@ def test_minimize_matches_dict_moore_with_unreachable_states():
 
 
 def test_minimize_matches_dict_moore_on_a_padded_machine(periodic_right_seed):
-    machine = replace(build_reverse_semigroup(periodic_right_seed).dfao, pad_nonneg=2, pad_neg=3)
+    machine = replace(build_reverse_semigroup(periodic_right_seed), pad_nonneg=2, pad_neg=3)
     assert minimize(machine) == dict_moore_minimize(machine)
 
 
@@ -383,7 +379,7 @@ def test_one_moore_run_per_machine_structure(fixtures):
         assert automata._partition.cache_clear in clears
         for clear in clears:
             clear()
-        reverse = build_reverse_semigroup(sub).dfao
+        reverse = build_reverse_semigroup(sub)
         determinized = reverse_and_determinize(build_direct(sub))
         assert reverse.labels != determinized.labels
         a, b = minimize(reverse), minimize(determinized)
@@ -423,7 +419,7 @@ def next_letter(sub, letter: str) -> str:
 
 
 def test_equivalent_detects_flipped_output(pd2):
-    dfao = build_reverse_semigroup(pd2).dfao
+    dfao = build_reverse_semigroup(pd2)
     for state in range(dfao.num_states):
         flipped = Dfao(
             ell=dfao.ell,
@@ -511,7 +507,7 @@ def test_equivalent_across_readings_finds_a_deep_witness():
 def test_padding_invariance(pd, pd2, bigdiag, thue_morse):
     for sub in (pd, pd2, bigdiag, thue_morse):
         direct = build_direct(sub)
-        reverse = build_reverse_semigroup(sub).dfao
+        reverse = build_reverse_semigroup(sub)
         p_r, p_l = sub.seed_periods()
         for n in (-19, -6, -1, 0, 1, 9, 23):
             step = p_r if n >= 0 else p_l
@@ -533,32 +529,16 @@ def test_padding_invariance(pd, pd2, bigdiag, thue_morse):
 
 def test_run_word_rejects_an_unknown_side(pd2):
     # a side other than "nonneg" and "neg" is an error, not the negative side
-    for machine in (build_direct(pd2), build_reverse_semigroup(pd2).dfao):
+    for machine in (build_direct(pd2), build_reverse_semigroup(pd2)):
         for side in ("pos", "negative", ""):
             with pytest.raises(ValueError, match="side must be 'nonneg' or 'neg'"):
                 machine.run_word((1,), side)
 
 
-def test_one_sided_machine_rejects_negative():
-    machine = Dfao(
-        ell=2,
-        labels=("s",),
-        delta=((0, 0),),
-        initial_nonneg=0,
-        initial_neg=None,
-        out_nonneg=("a",),
-        out_neg=None,
-        reading="reverse",
-    )
-    assert machine.run(3) == "a"
-    with pytest.raises(NoNegativeSide):
-        machine.run(-1)
-
-
 def test_json_dict_is_the_machine(pd2, bigdiag, periodic_right_seed):
     assert build_direct(periodic_right_seed).pad_nonneg == 2  # a padded direct machine
     for sub in (pd2, bigdiag, periodic_right_seed):
-        for machine in (build_direct(sub), build_reverse_semigroup(sub).dfao):
+        for machine in (build_direct(sub), build_reverse_semigroup(sub)):
             names = machine.state_names()
             data = json.loads(json.dumps(machine.to_json_dict()))
             assert data["states"] == list(names)
@@ -577,9 +557,6 @@ def test_json_dict_is_the_machine(pd2, bigdiag, periodic_right_seed):
             pads = [machine.pad_nonneg, machine.pad_neg]
             assert data.get("pads", [1, 1]) == pads
             assert ("pads" in data) == (pads != [1, 1])
-    one_sided = replace(build_direct(pd2), initial_neg=None, out_neg=None)
-    data = one_sided.to_json_dict()
-    assert data["initial"]["neg"] is None and data["outputs"]["neg"] is None
 
 
 @pytest.mark.parametrize(
@@ -594,6 +571,9 @@ def test_json_dict_is_the_machine(pd2, bigdiag, periodic_right_seed):
         ({"reading": "both"}, InputError),
         ({"pad_nonneg": 0}, InputError),
         ({"pad_neg": -1}, InputError),
+        ({"initial_neg": None}, InputError),
+        ({"out_neg": None}, InputError),
+        ({"initial_neg": None, "out_neg": None}, InputError),
     ],
     ids=[
         "initial-nonneg-past-the-rows",
@@ -605,6 +585,9 @@ def test_json_dict_is_the_machine(pd2, bigdiag, periodic_right_seed):
         "unknown-reading",
         "zero-pad",
         "negative-pad",
+        "no-initial-neg",
+        "no-out-neg",
+        "no-negative-side",
     ],
 )
 def test_dfao_refuses_a_machine_that_cannot_run(changes, error):

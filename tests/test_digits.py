@@ -185,7 +185,7 @@ def test_dfao_run_matches_the_low_first_reading_at_far_indices(pd2, periodic_rig
     far = [s * (10**e + d) for e in (12, 15, 20, 30) for d in range(-3, 4) for s in (1, -1)]
     for sub in (pd2, periodic_right_seed, bigdiag):
         direct = build_direct(sub)
-        reverse = build_reverse_semigroup(sub).dfao
+        reverse = build_reverse_semigroup(sub)
         for machine in (direct, reverse, replace(reverse, pad_nonneg=2, pad_neg=3)):
             for n in far:
                 assert machine.run(n) == _run_by_low_first(machine, n), (machine.reading, n)

@@ -16,7 +16,9 @@ from substratum import (
     reverse_and_determinize,
     window_for_range,
 )
+from substratum.automata import _reverse_semigroup
 from substratum.kernel import SAMPLE_LENGTH
+from substratum.substitution import word_budget
 
 
 def test_pd2_kernel_has_three_elements(pd2):
@@ -75,10 +77,9 @@ def test_kernel_is_read_off_the_minimal_machine(six_letter, bigdiag, monkeypatch
 def minimal_machine_kernel(sub, side):
     """The kernel read off the minimal machine, each witness state found by
     walking the unminimised machine along the witness's digits: the reference."""
-    machine = build_reverse_semigroup(sub)
-    dfao = machine.dfao
-    if side == "one-sided":
-        dfao = replace(dfao, initial_neg=None, out_neg=None)
+    dfao, maps = _reverse_semigroup(sub, word_budget())
+    if side == "one-sided":  # the non-negative outputs alone decide
+        dfao = replace(dfao, out_neg=dfao.out_nonneg)
     minimal = minimize(dfao)
     ell = sub.length
     witnesses = {minimal.initial_nonneg: (0, 0)}
@@ -101,7 +102,7 @@ def minimal_machine_kernel(sub, side):
             rest, d = divmod(rest, ell)
             state = dfao.delta[state][d]
         sample = tuple(minimal.run(j + n * ell**e) for n in range(SAMPLE_LENGTH))
-        elements.append((machine.state_maps[state], e, j, sample))
+        elements.append((maps[state], e, j, sample))
     return elements
 
 
@@ -151,9 +152,9 @@ def test_brute_force_matches_enumeration(pd, pd2, thue_morse):
 
 def minimal_states_within(sub, side, depth):
     """States of the side's minimal reverse machine within ``depth`` digits of the start."""
-    dfao = build_reverse_semigroup(sub).dfao
-    if side == "one-sided":
-        dfao = replace(dfao, initial_neg=None, out_neg=None)
+    dfao = build_reverse_semigroup(sub)
+    if side == "one-sided":  # the non-negative outputs alone decide
+        dfao = replace(dfao, out_neg=dfao.out_nonneg)
     minimal = minimize(dfao)
     reached = frontier = {minimal.initial_nonneg}
     for _ in range(depth):

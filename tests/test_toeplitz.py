@@ -8,6 +8,7 @@ from substratum import (
     NontrivialHeight,
     NotToeplitz,
     Overflow,
+    StateExplosion,
     Substitution,
     SubstratumError,
     Window,
@@ -185,16 +186,16 @@ def test_reduced_graph_pd_original_spells_minus_one(pd):
 
 def test_reduced_graph_vertices_are_never_constant(bigdiag):
     graph = reduced_graph(bigdiag)
-    machine = graph.machine
+    maps = gate(bigdiag).maps
     for v in graph.vertices:
-        assert machine.state_maps[v].image_size() >= 2
+        assert maps[v].image_size() >= 2
     for _, _, target in graph.edges:
         assert target in set(graph.vertices)
 
 
 def test_aperiodic_walks_stay_in_reduced_graph(bigdiag):
     graph = reduced_graph(bigdiag)
-    machine = graph.machine.dfao
+    machine = graph.machine
     vertices = set(graph.vertices)
     tail_steps = machine.num_states + 1
     for n in range(-30, 31):
@@ -238,7 +239,7 @@ def reference_cycles(sub, max_length=12, max_count=500):
     adjacency = {v: [] for v in graph.vertices}
     for s, d, t in graph.edges:
         adjacency[s].append((d, t))
-    initial = graph.machine.dfao.initial_nonneg
+    initial = graph.machine.initial_nonneg
     paths = {initial: ()} if initial in adjacency else {}
     queue = list(paths)
     for s in queue:  # breadth first: the list grows behind the cursor
@@ -305,7 +306,7 @@ def assert_tail_cycles_complete(sub, span=300):
     digits, then its tail digit forever, enters a listed cycle before a
     constant state; every listed address is aperiodic."""
     graph = reduced_graph(sub)
-    delta = graph.machine.dfao.delta
+    delta = graph.machine.delta
     constant = gate(sub).constant
     on_cycle = set()  # (state, digit) on a listed cycle of that digit's map
     for c in graph.cycles:
@@ -317,7 +318,7 @@ def assert_tail_cycles_complete(sub, span=300):
         assert not decide_per(sub, c.address).is_periodic(), (str(sub), c)
     for n in range(-span, span + 1):
         tail = 0 if n >= 0 else sub.length - 1
-        s = graph.machine.dfao.initial_nonneg
+        s = graph.machine.initial_nonneg
         for d in reversed(to_digits(n, sub.length).digits):
             s = delta[s][d]
         for _ in range(len(delta) + 1):  # a constant state or a cycle within |states| steps
@@ -365,7 +366,7 @@ def tail_walk_verdict(sub, n):
     """decide_per with its own seen-set walk after the canonical digits,
     instead of the gate's tail tables: the reference."""
     g = gate(sub)
-    delta = g.machine.dfao.delta
+    delta = g.machine.delta
     digits = tuple(reversed(to_digits(n, sub.length).digits))
     tail = 0 if n >= 0 else sub.length - 1
     s = k = 0
@@ -379,7 +380,7 @@ def tail_walk_verdict(sub, n):
             if t in seen:  # the tail walk cycles without reaching a constant
                 break
         s, k = t, k + 1
-    state = g.machine.state_maps[s]
+    state = g.maps[s]
     periodic = g.constant[s]
     return PeriodicityVerdict(
         index=n,
@@ -388,7 +389,7 @@ def tail_walk_verdict(sub, n):
         period=sub.length**k if periodic else None,
         letter=sub.alphabet[state.table[0]] if periodic else None,
         state_pos=state,
-        state_neg=g.machine.state_maps[delta[s][sub.length - 1]],
+        state_neg=g.maps[delta[s][sub.length - 1]],
     )
 
 
@@ -423,7 +424,7 @@ def test_every_non_constant_state_is_live(
     subs = fixtures + [late_return] + [sub for sub, _ in periodic_coincidence] + random_inputs
     for sub in admitted(subs + [entry.sub for entry in corpus.coincidence_corpus(1)[:40]]):
         g = gate(sub)
-        dfao = g.machine.dfao
+        dfao = g.machine
         paths = toeplitz._shortest_paths(dfao.initial_nonneg, dfao.delta, g.constant)
         assert set(paths) == {s for s in range(dfao.num_states) if not g.constant[s]}, str(sub)
 
@@ -479,6 +480,19 @@ def test_decide_range_refuses_a_range_wider_than_the_budget(monkeypatch, pd2):
     with pytest.raises(Overflow, match="range of 101 indices exceeds budget 100"):
         decide_range(pd2, -50, 50)
     assert len(decide_range(pd2, -50, 49)) == 100
+
+
+def test_gate_applies_a_changed_budget(monkeypatch, bigdiag):
+    # the gate is kept per budget, as the machine is: a warm gate does not
+    # answer under a budget its 48-state machine exceeds
+    monkeypatch.delenv("SUBSTRATUM_BUDGET", raising=False)
+    verdict = decide_per(bigdiag, 5)
+    assert verdict.status == APERIODIC
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "3")
+    with pytest.raises(StateExplosion):
+        decide_per(bigdiag, 5)
+    monkeypatch.delenv("SUBSTRATUM_BUDGET")
+    assert decide_per(bigdiag, 5) == verdict
 
 
 def test_decide_range_on_a_far_range(bigdiag, pd):
