@@ -16,7 +16,7 @@ from .automata import (
     minimize,
     reverse_and_determinize,
 )
-from .digits import DigitString, pad, to_digits, to_int
+from .digits import to_digits, to_int
 from .errors import (
     BadAlphabet,
     BadBase,
@@ -24,7 +24,6 @@ from .errors import (
     DigitOutOfRange,
     IndexOutOfWindow,
     InputError,
-    NonCanonical,
     NontrivialHeight,
     NotToeplitz,
     Overflow,
@@ -61,10 +60,8 @@ __all__ = [
     "Alphabet",
     "ColumnMap",
     "Substitution",
-    "DigitString",
     "to_digits",
     "to_int",
-    "pad",
     "Dfao",
     "EquivalenceResult",
     "build_direct",
@@ -98,7 +95,6 @@ __all__ = [
     "RuleLengthMismatch",
     "BadSeed",
     "BadBase",
-    "NonCanonical",
     "DigitOutOfRange",
     "SeedMissing",
     "Overflow",

@@ -124,7 +124,7 @@ class Dfao:
 
     def run(self, n: int) -> str:
         """The sequence entry u_n, from the canonical expansion of n."""
-        digits = digitmod._high_first(n, self.ell)
+        digits = digitmod.to_digits(n, self.ell)
         if n >= 0:
             state, outputs, pad, filler = self.initial_nonneg, self.out_nonneg, self.pad_nonneg, 0
         else:

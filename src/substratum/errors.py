@@ -29,10 +29,6 @@ class BadBase(InputError):
     pass
 
 
-class NonCanonical(InputError):
-    pass
-
-
 class DigitOutOfRange(InputError):
     pass
 

@@ -185,7 +185,7 @@ def _walk(g: ToeplitzGate, sub: Substitution, n: int) -> PeriodicityVerdict:
     ell = sub.length
     delta, constant = g.machine.delta, g.constant
     s = k = 0  # the initial state is the identity
-    for d in digitmod._low_first(n, ell):
+    for d in reversed(digitmod.to_digits(n, ell)):
         if constant[s]:
             break
         s, k = delta[s][d], k + 1
@@ -210,22 +210,27 @@ def _fields(g: ToeplitzGate, sub: Substitution, s: int, exponent: int | None) ->
     }
 
 
-def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdict, ...]:
-    """decide_per on every index of [lo, hi], one residue class at a time.
+def _residue_classes(sub: Substitution, lo: int, hi: int) -> tuple[list, list]:
+    """The verdicts on [lo, hi] as residue classes, and the walks left over.
+
+    Returns ``(classes, walked)``.  Each class is a record ``(first, step,
+    fields)``: every index ``first + i*step`` of [lo, hi] has the periodic
+    verdict whose other six fields are ``fields`` (see :func:`_fields`), and
+    ``first`` is the least of them.  ``walked`` lists the verdicts of the
+    indices no class covers, residue by residue, each from :func:`_walk`.
 
     decide_per reads the ell-adic digits of n least significant first (for
     negative n too: Python's ``%`` gives them), so its state after k digits
     depends on n mod ell^k alone.  Level k of the residue tree holds the live
     residues r mod ell^k, each with its state; child r + d*ell^k goes to
-    ``delta[s][d]``.  A residue reaching a constant state at level k gives
-    every index of its class the same verdict: exponent k, period ell^k and
-    the state's letter.  Once ell^(k+1) exceeds hi - lo a class holds at most
-    ell indices, and the indices still live take decide_per's walk on the
-    gate already in hand: a level deeper, nearly every class holds one index,
-    so it would cost a node per index and spare few walks.  Every level
-    reached has ell^k <= hi - lo, so each of its classes holds an index.  The
-    result equals ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.
-    A range of more indices than the budget is refused before any work.
+    ``delta[s][d]``.  A residue reaching a constant state at level k is a
+    class: exponent k, period ell^k and the state's letter.  Once ell^(k+1)
+    exceeds hi - lo a class holds at most ell indices, and the indices still
+    live take decide_per's walk on the gate already in hand: a level deeper,
+    nearly every class holds one index, so it would cost a node per index
+    and spare few walks.  Every level reached has ell^k <= hi - lo, so each
+    class of a non-empty range holds an index.  A range of more indices than
+    the budget is refused before any work.
     """
     width, limit = hi - lo + 1, word_budget()
     if width > limit:
@@ -233,27 +238,36 @@ def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdic
     g = gate(sub)
     ell = sub.length
     delta, constant = g.machine.delta, g.constant
-    verdicts: list = [None] * (hi - lo + 1)
+    classes = []
     level = [(0, 0)]  # (residue, state); level 0 is r = 0 at the identity
     k, step = 0, 1
     while True:
         live = []
         for r, s in level:
             if constant[s]:
-                first = lo + (r - lo) % step  # the least index of the class in [lo, hi]
-                fields = _fields(g, sub, s, k)
-                verdicts[first - lo :: step] = [
-                    _verdict(n, fields) for n in range(first, hi + 1, step)
-                ]
+                classes.append((lo + (r - lo) % step, step, _fields(g, sub, s, k)))
             else:
                 live.append((r, s))
         if step * ell > hi - lo:
-            for r, _ in live:
-                for n in range(lo + (r - lo) % step, hi + 1, step):
-                    verdicts[n - lo] = _walk(g, sub, n)
-            return tuple(verdicts)
+            walked = [_walk(g, sub, n) for r, _ in live for n in range(lo + (r - lo) % step, hi + 1, step)]
+            return classes, walked
         level = [(r + d * step, t) for r, s in live for d, t in enumerate(delta[s])]
         k, step = k + 1, step * ell
+
+
+def decide_range(sub: Substitution, lo: int, hi: int) -> tuple[PeriodicityVerdict, ...]:
+    """decide_per on every index of [lo, hi], one residue class at a time.
+
+    The classes and the left-over walks come from :func:`_residue_classes`;
+    the result equals ``tuple(decide_per(sub, n) for n in range(lo, hi + 1))``.
+    """
+    classes, walked = _residue_classes(sub, lo, hi)
+    verdicts: list = [None] * max(hi - lo + 1, 0)
+    for first, step, fields in classes:
+        verdicts[first - lo :: step] = [_verdict(n, fields) for n in range(first, hi + 1, step)]
+    for v in walked:
+        verdicts[v.index - lo] = v
+    return tuple(verdicts)
 
 
 _new = object.__new__
@@ -272,11 +286,10 @@ def _verdict(index: int, fields: dict) -> PeriodicityVerdict:
 
 @dataclass(frozen=True)
 class RangeReport:
-    """decide_per over a range, with optional oracle cross-validation."""
+    """The aperiodic indices of a range, with optional oracle cross-validation."""
 
     lo: int
     hi: int
-    verdicts: tuple[PeriodicityVerdict, ...]
     aperiodic: tuple[int, ...]
     certified: bool
     inconsistencies: tuple[str, ...]
@@ -289,54 +302,58 @@ class RangeReport:
 def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = False) -> RangeReport:
     """Classify every index in [lo, hi] as decide_per does, with optional certification.
 
-    The verdicts come from :func:`decide_range`, which walks the residue tree
-    instead of one digit stream per index.
+    The verdicts are read off :func:`_residue_classes`, which walks the
+    residue tree instead of one digit stream per index: the aperiodic ones
+    are walked verdicts, and each residue class is one periodic claim.
 
     With ``certify`` the verdicts are cross-checked against windowed
     progressions: a periodic index must show a single letter at its step
     within a window that covers the range and [-ell^(K+3), ell^(K+3) - 1], K
     the largest periodic exponent or ``CERTIFY_DEPTH`` if larger; an aperiodic
     one must show two letters at every step ell^k, k <= ``CERTIFY_DEPTH``.
+    An empty range makes no claim and builds no window.
     An aperiodic verdict is sampled at the deepest step ell^K, K =
     ``CERTIFY_DEPTH``, first: inside the window, n + ell^K Z lies in
     n + ell^k Z for every k <= K, and each sample walks its whole progression
     until it sees two letters, so two letters at ell^K are two letters at
     every shallower step.  Only a verdict that fails there is sampled at each
     step in turn, which names its failing steps in the per-step order.
-    Periodic verdicts are certified one class at a time: those sharing period
-    P, residue mod P and letter are checked by one strided slice of the window
-    from ``2*ell^3`` steps before the first to ``2*ell^3`` steps after the
-    last, which holds every term their samples would examine.  When the slice
-    shows only the claimed letter the whole class passes; otherwise each
-    member is sampled on its own, so the report, inconsistencies and their
-    order included, is the one the per-index samples give.
+    Periodic verdicts are certified one claim at a time: a class, or a walked
+    periodic verdict on its own, claims period P and one letter for its
+    members, and one strided slice of the window from ``2*ell^3`` steps of P
+    before its first member to ``2*ell^3`` steps after its last holds every
+    term their samples would examine (P divides the class's step).  When the
+    slice shows only the claimed letter the whole claim passes; otherwise
+    each member's verdict is built and sampled on its own, so the report,
+    inconsistencies and their order included, is the one the per-index
+    samples give.
     """
-    verdicts = decide_range(sub, lo, hi)  # gates the substitution first
-    # the two statuses partition the range by construction; assert anyway
-    assert len(verdicts) == max(hi - lo + 1, 0)
-    # one pass: the aperiodic verdicts, and with certify the periodic ones
-    # by (period, residue, letter) class and their largest exponent
-    aperiodic: list[PeriodicityVerdict] = []
-    classes: dict[tuple[int, int, str], list[PeriodicityVerdict]] = {}
-    max_expo = 0
-    for v in verdicts:
-        if v.status == APERIODIC:
-            aperiodic.append(v)
-        elif certify:
-            classes.setdefault((v.period, v.index % v.period, v.letter), []).append(v)
-            if v.exponent > max_expo:
-                max_expo = v.exponent
+    classes, walked = _residue_classes(sub, lo, hi)  # gates the substitution first
+    # walked indices come out residue by residue
+    aperiodic = sorted((v for v in walked if v.status == APERIODIC), key=attrgetter("index"))
 
     inconsistencies: list[str] = []
-    if certify:
-        reach = sub.length ** (max(max_expo, CERTIFY_DEPTH) + 3)  # >= ell^(k+3) for every verdict
+    if certify and lo <= hi:
+        ell = sub.length
+        max_expo = max(
+            [fields["exponent"] for _, _, fields in classes]
+            + [v.exponent for v in walked if v.status == PERIODIC],
+            default=0,
+        )
+        reach = ell ** (max(max_expo, CERTIFY_DEPTH) + 3)  # >= ell^(k+3) for every verdict
         window = window_for_range(sub, min(lo, -reach), max(hi, reach - 1))
         # a periodic claim is checked across at least ell^(k+3)/step = ell^3
         # progression terms; an aperiodic claim only needs two letters found
-        periodic_terms = 2 * sub.length**3
-        deepest = sub.length**CERTIFY_DEPTH
-        passed = _certified_classes(window, classes, periodic_terms)
-        pending = aperiodic + [v for key, members in classes.items() if key not in passed for v in members]
+        periodic_terms = 2 * ell**3
+        deepest = ell**CERTIFY_DEPTH
+        pending = list(aperiodic)
+        for first, step, fields in classes:
+            last = first + (hi - first) // step * step
+            if not _claim_holds(window, first, last, fields["period"], fields["letter"], periodic_terms):
+                pending += [_verdict(n, fields) for n in range(first, hi + 1, step)]
+        for v in walked:
+            if v.status == PERIODIC and not _claim_holds(window, v.index, v.index, v.period, v.letter, periodic_terms):
+                pending.append(v)
         pending.sort(key=attrgetter("index"))  # verdict order is index order
         for v in pending:
             if v.status == PERIODIC:
@@ -347,41 +364,34 @@ def aperiodic_in_range(sub: Substitution, lo: int, hi: int, certify: bool = Fals
                     )
             elif len(sample_progression(window, v.index, deepest, stop_at=2)) < 2:
                 for k in range(CERTIFY_DEPTH + 1):
-                    seen = sample_progression(window, v.index, sub.length**k, stop_at=2)
+                    seen = sample_progression(window, v.index, ell**k, stop_at=2)
                     if len(seen) < 2:
                         inconsistencies.append(
-                            f"index {v.index}: claimed aperiodic but step {sub.length**k} shows only {sorted(seen)}"
+                            f"index {v.index}: claimed aperiodic but step {ell**k} shows only {sorted(seen)}"
                         )
     return RangeReport(
         lo=lo,
         hi=hi,
-        verdicts=verdicts,
         aperiodic=tuple(v.index for v in aperiodic),
         certified=certify,
         inconsistencies=tuple(inconsistencies),
     )
 
 
-def _certified_classes(window, classes, terms: int) -> set[tuple[int, int, str]]:
-    """The (period, residue, letter) classes of periodic verdicts that pass at once.
+def _claim_holds(window, first: int, last: int, period: int, letter: str, terms: int) -> bool:
+    """Whether the window shows only ``letter`` at every index first + i*period
+    from ``terms`` steps before ``first`` to ``terms`` steps after ``last``.
 
-    ``classes`` maps each class to its members in index order.
-    ``sample_progression(window, n, P, max_terms=terms)`` examines indices
-    n + i*P with -terms < i <= terms inside the window, so the strided slice
-    from ``terms`` steps before a class's first member to ``terms`` steps
-    after its last holds every term of every member's sample, and each
-    sample is a non-empty part of it.
+    ``sample_progression(window, n, period, max_terms=terms)`` examines indices
+    n + i*period with -terms < i <= terms inside the window, so for every
+    member n of the claim (n = first mod period, first <= n <= last) this
+    strided slice holds every term of its sample, and each sample is a
+    non-empty part of it.
     """
-    ordinals = {letter: o for o, letter in enumerate(window.alphabet)}
-    passed = set()
-    for key, members in classes.items():
-        period, residue, letter = key
-        start = max(members[0].index - terms * period, window.lo + (residue - window.lo) % period)
-        stop = min(members[-1].index + terms * period, window.hi) + 1
-        terms_seen = window.letters[start - window.lo : stop - window.lo : period]
-        if terms_seen.count(ordinals.get(letter)) == len(terms_seen):
-            passed.add(key)
-    return passed
+    start = max(first - terms * period, window.lo + (first - window.lo) % period)
+    stop = min(last + terms * period, window.hi) + 1
+    terms_seen = window.letters[start - window.lo : stop - window.lo : period]
+    return terms_seen.count(window.alphabet.index(letter)) == len(terms_seen)
 
 
 @dataclass(frozen=True)

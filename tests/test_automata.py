@@ -19,7 +19,6 @@ from substratum import (
     reverse_and_determinize,
     structure_semigroup,
     to_digits,
-    pad,
     window_for_range,
 )
 from substratum.substitution import word_budget
@@ -512,19 +511,20 @@ def test_padding_invariance(pd, pd2, bigdiag, thue_morse):
         for n in (-19, -6, -1, 0, 1, 9, 23):
             step = p_r if n >= 0 else p_l
             side = "nonneg" if n >= 0 else "neg"
-            ds = to_digits(n, sub.length)
-            base_len = len(ds) + (-len(ds)) % step
+            filler = 0 if n >= 0 else sub.length - 1
+            word = to_digits(n, sub.length)
+            word = (filler,) * (-len(word) % step) + word
             for extra in (0, step, 2 * step):
-                padded = pad(ds, base_len + extra)
-                assert direct.run_word(padded.digits, side) == direct.run(n)
-                assert reverse.run_word(padded.digits, side) == reverse.run(n)
+                padded = (filler,) * extra + word
+                assert direct.run_word(padded, side) == direct.run(n)
+                assert reverse.run_word(padded, side) == reverse.run(n)
         # reverse machines tolerate arbitrary padding, not just full periods
         for n in (0, 5, -3):
             side = "nonneg" if n >= 0 else "neg"
-            ds = to_digits(n, sub.length)
+            filler = 0 if n >= 0 else sub.length - 1
             for extra in (1, 2, 3):
-                padded = pad(ds, len(ds) + extra)
-                assert reverse.run_word(padded.digits, side) == reverse.run(n)
+                padded = (filler,) * extra + to_digits(n, sub.length)
+                assert reverse.run_word(padded, side) == reverse.run(n)
 
 
 def test_run_word_rejects_an_unknown_side(pd2):

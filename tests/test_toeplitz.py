@@ -21,7 +21,7 @@ from substratum import (
     window_for_range,
 )
 from substratum import toeplitz
-from substratum.digits import DigitString, to_int
+from substratum.digits import to_int
 from substratum.toeplitz import (
     APERIODIC,
     CERTIFY_DEPTH,
@@ -82,17 +82,23 @@ def test_aperiodic_in_range_pd2(pd2):
 
 def test_aperiodic_in_range_partition(pd2):
     report = aperiodic_in_range(pd2, -20, 20)
-    periodic = {v.index for v in report.verdicts if v.is_periodic()}
+    periodic = {v.index for v in decide_range(pd2, -20, 20) if v.is_periodic()}
     assert periodic | set(report.aperiodic) == set(range(-20, 21))
     assert periodic & set(report.aperiodic) == set()
 
 
 def test_aperiodic_in_range_of_an_empty_range(pd2, bigdiag):
-    for sub in (pd2, bigdiag):
+    # an empty range makes no claim, so certifying it builds no window: the
+    # first l=5 input of coincidence_corpus(1) that the gate admits would need
+    # one of 2*5^9 letters, beyond the default budget
+    wide = Substitution.from_parts(
+        ["a", "b", "c", "d"], 5, {"a": "cbbcb", "b": "ccccb", "c": "daabd", "d": "cbbcb"}, seed=["b", "c"]
+    )
+    for sub in (pd2, bigdiag, wide):
         for lo, hi in ((1, 0), (5, 3)):
             for certify in (False, True):
                 report = aperiodic_in_range(sub, lo, hi, certify=certify)
-                assert report == toeplitz.RangeReport(lo, hi, (), (), certify, ())
+                assert report == toeplitz.RangeReport(lo, hi, (), certify, ())
                 assert report.summary() == f"Aper ∩ [{lo},{hi}] = {{}}"
 
 
@@ -199,7 +205,7 @@ def test_aperiodic_walks_stay_in_reduced_graph(bigdiag):
     vertices = set(graph.vertices)
     tail_steps = machine.num_states + 1
     for n in range(-30, 31):
-        digits = to_digits(n, bigdiag.length).digits
+        digits = to_digits(n, bigdiag.length)
         tail = 0 if n >= 0 else bigdiag.length - 1
         state = machine.initial_nonneg
         inside = state in vertices
@@ -255,9 +261,9 @@ def reference_cycles(sub, max_length=12, max_count=500):
             continue
         prefix = paths[anchor]
         if set(digit_seq) == {0}:
-            address = to_int(DigitString(ell, prefix[::-1]))
+            address = to_int(prefix[::-1], ell)
         elif set(digit_seq) == {ell - 1}:
-            address = to_int(DigitString(ell, (ell - 1,) + prefix[::-1], negative=True))
+            address = to_int((ell - 1,) + prefix[::-1], ell, negative=True)
         else:
             continue  # an ell-adic point, not an integer
         infos.append(CycleInfo(anchor, prefix, digit_seq, address))
@@ -319,7 +325,7 @@ def assert_tail_cycles_complete(sub, span=300):
     for n in range(-span, span + 1):
         tail = 0 if n >= 0 else sub.length - 1
         s = graph.machine.initial_nonneg
-        for d in reversed(to_digits(n, sub.length).digits):
+        for d in reversed(to_digits(n, sub.length)):
             s = delta[s][d]
         for _ in range(len(delta) + 1):  # a constant state or a cycle within |states| steps
             if constant[s] or (s, tail) in on_cycle:
@@ -367,7 +373,7 @@ def tail_walk_verdict(sub, n):
     instead of the gate's tail tables: the reference."""
     g = gate(sub)
     delta = g.machine.delta
-    digits = tuple(reversed(to_digits(n, sub.length).digits))
+    digits = tuple(reversed(to_digits(n, sub.length)))
     tail = 0 if n >= 0 else sub.length - 1
     s = k = 0
     seen = set()
@@ -548,14 +554,34 @@ def corrupted(sub, verdicts):
                 else:
                     v = replace(v, period=v.period + 1)
         out.append(v)
-    return tuple(out)
+    return out
+
+
+def corrupted_classes(sub, classes, walked):
+    """Every fifth residue class with its letter flipped, and every seventh
+    with exponent k >= 1 with the period ell^(k-1); the walked verdicts as
+    :func:`corrupted` leaves them.  A class of several members can only
+    claim a period dividing its step, so the periods ell^(k+1) and ell^k + 1
+    reach the certifier through the walked verdicts, which are one-member claims."""
+    letters = sub.alphabet.letters
+    out = []
+    for i, (first, step, fields) in enumerate(classes, 1):
+        if i % 5 == 0:
+            fields = {**fields, "letter": letters[(letters.index(fields["letter"]) + 1) % len(letters)]}
+        elif i % 7 == 0 and fields["exponent"] >= 1:
+            fields = {**fields, "period": fields["period"] // sub.length}
+        out.append((first, step, fields))
+    return out, corrupted(sub, walked)
 
 
 def test_certification_reports_injected_inconsistencies(
     monkeypatch, pd, pd2, bigdiag, periodic_right_seed, late_return, random_inputs
 ):
-    real = toeplitz.decide_range
-    monkeypatch.setattr(toeplitz, "decide_range", lambda sub, lo, hi: corrupted(sub, real(sub, lo, hi)))
+    # the classes and walks are what decide_range and the certifier both read
+    real = toeplitz._residue_classes
+    monkeypatch.setattr(
+        toeplitz, "_residue_classes", lambda sub, lo, hi: corrupted_classes(sub, *real(sub, lo, hi))
+    )
     injected = 0
     for sub in [pd, pd2, bigdiag, periodic_right_seed, late_return] + random_inputs:
         try:
@@ -564,7 +590,7 @@ def test_certification_reports_injected_inconsistencies(
             continue
         for lo, hi in ((-200, 200), (-5000, -4600)):
             try:
-                expected = per_index_inconsistencies(sub, lo, hi, corrupted(sub, real(sub, lo, hi)))
+                expected = per_index_inconsistencies(sub, lo, hi, decide_range(sub, lo, hi))
             except Overflow:
                 with pytest.raises(Overflow):
                     aperiodic_in_range(sub, lo, hi, certify=True)
@@ -573,6 +599,20 @@ def test_certification_reports_injected_inconsistencies(
             assert list(report.inconsistencies) == expected, (str(sub), lo, hi)
             injected += len(expected)
     assert injected > 100
+
+
+def test_certification_reads_the_residue_classes(monkeypatch, pd, pd2, bigdiag):
+    # certify builds no tuple of verdicts: it reads the classes and walks directly
+    def refuse(sub, lo, hi):
+        raise AssertionError("decide_range called")
+
+    monkeypatch.setattr(toeplitz, "decide_range", refuse)
+    for sub in (pd, pd2, bigdiag):
+        report = aperiodic_in_range(sub, -200, 200, certify=True)
+        assert report.inconsistencies == ()
+        expected = tuple(v.index for v in per_index(sub, -200, 200) if not v.is_periodic())
+        assert report.aperiodic == expected, str(sub)
+    assert len(aperiodic_in_range(bigdiag, -200, 200).aperiodic) > 100
 
 
 def test_certification_away_from_zero(pd, bigdiag, late_return):
