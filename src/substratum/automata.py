@@ -18,22 +18,25 @@ The reverse machine is the orbit of the identity under the columns (the
 memoized map-only closure of :mod:`substratum.semigroup`) times that phase:
 its states are the reachable pairs (orbit node, word length mod the seed
 period), walked breadth-first by the same budgeted loop.  Reversing a direct
-machine is that walk over the orbit of its transition columns, and the
-semigroup-labelled reverse machine is that reversal of Cobham's direct
-machine, relabelled by column maps, so both reversals, the semigroup
-closures and the structure semigroup of one substitution share one orbit.
-Minimization memoizes its Moore partition by the machine's structure without
-its labels, so the two reversals share one refinement.
+machine is that walk over the orbit of its transition columns, run once per
+machine structure (without its labels) and budget, and the
+semigroup-labelled reverse machine relabels the very machine that the
+reversal of Cobham's direct machine returns, with the column maps that
+:mod:`substratum.semigroup` builds once per orbit node.  So both reversals
+share one walk and its tables, and they, the semigroup closures and the
+structure semigroup of one substitution share one orbit and one
+:class:`ColumnMap` per orbit node.  Minimization memoizes its Moore
+partition by the machine's structure without its labels, so the two
+reversals share one refinement.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
 
 from . import digits as digitmod
 from .errors import (
@@ -43,7 +46,7 @@ from .errors import (
     SeedMissing,
     UnknownLetter,
 )
-from .semigroup import _breadth_first, _orbit
+from .semigroup import _breadth_first, _column_maps, _gather, _orbit
 from .substitution import ColumnMap, Substitution, word_budget
 
 DIRECT = "direct"
@@ -84,9 +87,11 @@ class Dfao:
         n = len(self.labels)
         if any(table is None or len(table) != n for table in (self.delta, self.out_nonneg, self.out_neg)):
             raise UnknownLetter("state tables must agree with the label list")
-        for row in self.delta:
-            if len(row) != self.ell or min(row) < 0 or max(row) >= n:
-                raise DigitOutOfRange("transition table must be total over the digits")
+        delta = self.delta
+        if delta and (
+            set(map(len, delta)) != {self.ell} or not set(chain.from_iterable(delta)).issubset(range(n))
+        ):
+            raise DigitOutOfRange("transition table must be total over the digits")
         for initial in (self.initial_nonneg, self.initial_neg):
             if initial is None or not 0 <= initial < n:
                 raise UnknownLetter(f"initial state {initial} outside 0..{n - 1}")
@@ -254,18 +259,6 @@ class Dfao:
         return "\n".join(lines) + "\n"
 
 
-def _gather(states: list[int]):
-    """The C-level map from a digit column to its entries at ``states``.
-
-    ``itemgetter`` of one index returns the bare entry, not a tuple, so one
-    state is wrapped by hand.
-    """
-    if len(states) == 1:
-        (s,) = states
-        return lambda column: (column[s],)
-    return itemgetter(*states)
-
-
 # -- Cobham's direct-reading machine --------------------------------------
 
 
@@ -319,13 +312,24 @@ def build_reverse_semigroup(sub: Substitution) -> Dfao:
 def _reverse_semigroup(sub: Substitution, limit: int) -> tuple[Dfao, tuple[ColumnMap, ...]]:
     """The machine of :func:`build_reverse_semigroup` and the column map of
     each of its states.  Keyed on the budget too, so a changed
-    ``SUBSTRATUM_BUDGET`` applies."""
-    maps, states, dfao = _determinize(build_direct(sub))
+    ``SUBSTRATUM_BUDGET`` applies.  It relabels the machine of
+    :func:`reverse_and_determinize` and shares its tables."""
+    states, dfao = _reverse(build_direct(sub), limit)
     period = sub.seed_period()
-    column_maps = [ColumnMap(sub.alphabet, f) for f in maps]
+    column_maps = _column_maps(sub.alphabet, tuple(zip(*sub.rules)), limit)
     vectors = [m.vector() for m in column_maps]
     labels = tuple(vectors[i] if period == 1 else f"{vectors[i]}@{phase}" for i, phase in states)
-    return replace(dfao, labels=labels), tuple(column_maps[i] for i, _ in states)
+    machine = Dfao(
+        ell=dfao.ell,
+        labels=labels,
+        delta=dfao.delta,
+        initial_nonneg=dfao.initial_nonneg,
+        initial_neg=dfao.initial_neg,
+        out_nonneg=dfao.out_nonneg,
+        out_neg=dfao.out_neg,
+        reading=REVERSE,
+    )
+    return machine, tuple(column_maps[i] for i, _ in states)
 
 
 # -- reversal by determinization -------------------------------------------
@@ -339,45 +343,64 @@ def reverse_and_determinize(dfao: Dfao) -> Dfao:
     lead — i.e. states here are transition functions of the original machine,
     composed digit by digit.  Outputs evaluate that function at the original
     initial states (after completing the word-length phase pinned by the pads).
+    The reversal is memoized by the machine's structure and the budget.
     """
-    return _determinize(dfao)[2]
+    if dfao.reading != DIRECT:
+        raise ValueError("reversal expects a direct-reading machine")
+    return _reverse(dfao, word_budget())[1]
 
 
-def _determinize(dfao: Dfao):
-    """The orbit maps of the direct machine's columns, the states of
-    :func:`reverse_and_determinize` as (orbit node, phase) pairs, and its machine.
+def _reverse(dfao: Dfao, limit: int):
+    """:func:`_reversal` of a direct machine, keyed on its structure."""
+    return _reversal(
+        dfao.delta,
+        dfao.initial_nonneg,
+        dfao.initial_neg,
+        dfao.out_nonneg,
+        dfao.out_neg,
+        dfao.pad_nonneg,
+        dfao.pad_neg,
+        limit,
+    )
+
+
+@lru_cache(maxsize=None)
+def _reversal(
+    delta, initial_nonneg: int, initial_neg: int, out_nonneg, out_neg, pad_nonneg: int, pad_neg: int, limit: int
+):
+    """The states of :func:`reverse_and_determinize` of a direct machine, as
+    (orbit node, phase) pairs over the orbit of its columns, and its machine.
 
     The states are the pairs reachable from (identity, 0), where digit d
     leads from (i, phase) to (the orbit's d-child of i, phase + 1 mod the
     period), numbered in breadth-first order with children in digit order.
+    Machines that differ only in their labels share one run, and ``limit``
+    is the state budget.
     """
-    if dfao.reading != DIRECT:
-        raise ValueError("reversal expects a direct-reading machine")
-    period = math.lcm(dfao.pad_nonneg, dfao.pad_neg)
-    limit = word_budget()
-    maps, orbit_delta = _orbit(dfao.columns, limit)
+    ell = len(delta[0])
+    period = math.lcm(pad_nonneg, pad_neg)
+    maps, orbit_delta = _orbit(tuple(zip(*delta)), limit)
 
     def successors(state):
         node, phase = state
-        step = (phase + 1) % period
-        return [(t, step) for t in orbit_delta[node]]
+        return zip(orbit_delta[node], repeat((phase + 1) % period))
 
-    states, delta = _breadth_first((0, 0), successors, limit)
+    states, reverse_delta = _breadth_first((0, 0), successors, limit)
 
     def outputs(initial: int, pad: int, tail_digit: int, out) -> tuple[str, ...]:
         anchors = [initial]
         for _ in range(pad - 1):
-            anchors.append(dfao.delta[anchors[-1]][tail_digit])
+            anchors.append(delta[anchors[-1]][tail_digit])
         return tuple(out[maps[i][anchors[(-phase) % pad]]] for i, phase in states)
 
-    return maps, states, Dfao(
-        ell=dfao.ell,
+    return states, Dfao(
+        ell=ell,
         labels=tuple(f"r{i}" for i in range(len(states))),
-        delta=delta,
+        delta=reverse_delta,
         initial_nonneg=0,
         initial_neg=0,
-        out_nonneg=outputs(dfao.initial_nonneg, dfao.pad_nonneg, 0, dfao.out_nonneg),
-        out_neg=outputs(dfao.initial_neg, dfao.pad_neg, dfao.ell - 1, dfao.out_neg),
+        out_nonneg=outputs(initial_nonneg, pad_nonneg, 0, out_nonneg),
+        out_neg=outputs(initial_neg, pad_neg, ell - 1, out_neg),
         reading=REVERSE,
     )
 
@@ -395,14 +418,19 @@ def minimize(dfao: Dfao) -> Dfao:
     of the direct machine share one run and each keeps its own labels.
     """
     rep, block, _ = _moore(dfao)
-    return replace(
-        dfao,
-        labels=tuple(dfao.labels[s] for s in rep),
-        delta=tuple(tuple(map(block.__getitem__, dfao.delta[s])) for s in rep),
+    take = _gather(rep)
+    return Dfao(
+        ell=dfao.ell,
+        labels=take(dfao.labels),
+        # row b lists the blocks that the digits lead to from rep[b]
+        delta=tuple(zip(*(map(block.__getitem__, take(column)) for column in dfao.columns))),
         initial_nonneg=block[dfao.initial_nonneg],
         initial_neg=block[dfao.initial_neg],
-        out_nonneg=tuple(dfao.out_nonneg[s] for s in rep),
-        out_neg=tuple(dfao.out_neg[s] for s in rep),
+        out_nonneg=take(dfao.out_nonneg),
+        out_neg=take(dfao.out_neg),
+        reading=dfao.reading,
+        pad_nonneg=dfao.pad_nonneg,
+        pad_neg=dfao.pad_neg,
     )
 
 
@@ -418,27 +446,30 @@ def _partition(delta, initial_nonneg: int, initial_neg: int, out_nonneg, out_neg
     run.
     """
     states = _reachable_order(delta, initial_nonneg, initial_neg)
-    block: list = list(zip(out_nonneg, out_neg))  # round 0: each state's output pair
-    count = len({block[s] for s in states})
+    # the refinement runs on positions along ``states``: succ[d][i] is the
+    # position of the digit-d successor of states[i]
+    position = dict(zip(states, range(len(states))))
+    take = _gather(states)
+    succ = [tuple(map(position.__getitem__, take(column))) for column in zip(*delta)]
+    # each round numbers the blocks by first appearance along ``states``;
+    # round 0 keys each state on its output pair
+    numbers: dict = {}
+    block = [numbers.setdefault(pair, len(numbers)) for pair in zip(take(out_nonneg), take(out_neg))]
+    count = len(numbers)
     rounds = 0
     while True:
-        # each round numbers the blocks by first appearance along ``states``
-        signatures: dict[tuple, int] = {}
-        refined = [0] * len(delta)
-        for s in states:
-            refined[s] = signatures.setdefault(
-                (block[s], *map(block.__getitem__, delta[s])), len(signatures)
-            )
-        block = refined
-        if len(signatures) == count:
+        signatures = zip(block, *(map(block.__getitem__, column) for column in succ))
+        numbers = {}
+        block = [numbers.setdefault(signature, len(numbers)) for signature in signatures]
+        if len(numbers) == count:
             break
-        count = len(signatures)
+        count = len(numbers)
         rounds += 1
-    rep: list[int] = []
-    for s in states:
-        if block[s] == len(rep):
-            rep.append(s)
-    return tuple(rep), tuple(block), rounds
+    first = dict(zip(reversed(block), reversed(states)))  # block -> its first state
+    full = [0] * len(delta)
+    for s, b in zip(states, block):
+        full[s] = b
+    return tuple(map(first.__getitem__, range(count))), tuple(full), rounds
 
 
 def _moore(dfao: Dfao):
@@ -492,40 +523,41 @@ def _product_check_reverse(m1: Dfao, m2: Dfao) -> EquivalenceResult:
     Reverse reading feeds the least significant digit first, so a fed word is
     canonical for n >= 0 when it is empty or its last digit is nonzero, and
     canonical (possibly padded) for n < 0 when its last digit is the marker.
+    Each pair keeps the pair and digit it was first reached by, and the
+    witness is read back along them only on a mismatch.
     """
     ell = m1.ell
-    marker = ell - 1
+    delta1, delta2 = m1.delta, m2.delta
     for side in ("nonneg", "neg"):
         s1 = m1.initial_nonneg if side == "nonneg" else m1.initial_neg
         s2 = m2.initial_nonneg if side == "nonneg" else m2.initial_neg
         o1 = m1.out_nonneg if side == "nonneg" else m1.out_neg
         o2 = m2.out_nonneg if side == "nonneg" else m2.out_neg
+        comparable = range(1, ell) if side == "nonneg" else (ell - 1,)
 
-        def mismatch(pair) -> bool:
-            return o1[pair[0]] != o2[pair[1]]
-
-        if side == "nonneg" and mismatch((s1, s2)):
+        if side == "nonneg" and o1[s1] != o2[s2]:
             return EquivalenceResult(False, 0)  # the empty word is n = 0
-        seen = {(s1, s2): (0, 0)}  # pair -> (word value, word length)
-        compared: set[tuple[int, int]] = set()
-        queue = deque([(s1, s2)])
-        while queue:
-            q1, q2 = queue.popleft()
-            value, length = seen[(q1, q2)]
-            for d in range(ell):
-                child = (m1.delta[q1][d], m2.delta[q2][d])
-                child_value = value + d * ell**length
-                if side == "nonneg":
-                    comparable = d != 0
-                    witness = child_value
-                else:
-                    comparable = d == marker
-                    witness = child_value - ell ** (length + 1)
-                if comparable and child not in compared:
-                    compared.add(child)
-                    if mismatch(child):
-                        return EquivalenceResult(False, witness)
-                if child not in seen:
-                    seen[child] = (child_value, length + 1)
-                    queue.append(child)
+        start = (s1, s2)
+        parent = {start: None}  # pair -> (pair, digit) it was first reached by
+        order = [start]
+        for pair in order:  # the list grows behind the cursor, like a queue
+            for d, child in enumerate(zip(delta1[pair[0]], delta2[pair[1]])):
+                if d in comparable and o1[child[0]] != o2[child[1]]:
+                    return EquivalenceResult(False, _witness(parent, pair, d, ell, side))
+                if child not in parent:
+                    parent[child] = (pair, d)
+                    order.append(child)
     return EquivalenceResult(True, None)
+
+
+def _witness(parent: dict, pair, digit: int, ell: int, side: str) -> int:
+    """The index whose word leads to ``pair`` and then feeds ``digit``: its
+    digits, read back along ``parent``, come most significant first."""
+    value = length = 0
+    step = (pair, digit)
+    while step is not None:
+        pair, digit = step
+        value = value * ell + digit
+        length += 1
+        step = parent[pair]
+    return value if side == "nonneg" else value - ell**length

@@ -7,13 +7,13 @@ block (one-sided, a block of the partition that keys every state on its
 non-negative output alone), so the kernel is read off the blocks: a
 level-by-level walk of the machine meets each block first at its least
 witness (e, j), and at a state carrying the element's column map.  Samples
-come from one table walk over the same machine: the state reached by the
-digits of n is tabulated for all states at once, so sample n of every
-element is a lookup.  The brute-force variant extracts subsequences straight
-from an expanded window and counts distinct contents.  Its window is wide
-enough for every pair of distinct minimal states to differ inside it, so
-within the budget it counts exactly the minimal states within e_max digits
-of the start.
+come from one table walk over the same machine: the output after the
+digits of n is tabulated for all states at once, and one transposed gather
+at the witness states reads every sample from it.  The brute-force variant
+extracts subsequences straight from an expanded window and counts distinct
+contents.  Its window is wide enough for every pair of distinct minimal
+states to differ inside it, so within the budget it counts exactly the
+minimal states within e_max digits of the start.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .automata import _moore, _partition, _reverse_semigroup
 from .errors import WindowTooShort
 from .oracle import Window, window_for_range
+from .semigroup import _gather
 from .substitution import ColumnMap, Substitution, word_budget
 
 ONE_SIDED = "one-sided"
@@ -67,7 +68,7 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     of its subsequence.
     """
     dfao, maps, (_, block, _) = _side_machine(sub, side)
-    delta, ell = dfao.delta, sub.length
+    ell = sub.length
 
     # level by level, digits outside and parents in increasing j inside: the
     # first arrival at a block is by its least witness, and levels come sorted
@@ -77,29 +78,30 @@ def enumerate_kernel(sub: Substitution, side: str = TWO_SIDED) -> tuple[KernelEl
     e = 0
     while frontier:
         level: dict[int, tuple[int, int]] = {}
-        for d in range(ell):
+        for d, column in enumerate(dfao.columns):
+            shift = d * ell**e
             for s, j in frontier:
-                t = delta[s][d]
-                if block[t] not in witnesses and block[t] not in level:
-                    level[block[t]] = (t, j + d * ell**e)
+                t = column[s]
+                b = block[t]
+                if b not in witnesses and b not in level:
+                    level[b] = (t, j + shift)
         e += 1
         frontier = list(level.values())
         witnesses.update((b, (e, j, t)) for b, (t, j) in level.items())
 
-    # after[n][s]: the state reached from s by the canonical digits of n, least
-    # significant first; j + n*ell^e for n >= 1 is the e digits of j, then n's,
-    # and reading j padded to e digits keeps the output u_j
-    after = [tuple(range(dfao.num_states))]
+    # after[n][s]: the output from the state reached from s by the canonical
+    # digits of n, least significant first; j + n*ell^e for n >= 1 is the e
+    # digits of j, then n's, and reading j padded to e digits keeps the output u_j
+    after = [dfao.out_nonneg]
     for n in range(1, SAMPLE_LENGTH):
         after.append(tuple(map(after[n // ell].__getitem__, dfao.columns[n % ell])))
+    # one gather of the witness states from every row, transposed: each
+    # witness's sample
+    take = _gather([s for _, _, s in witnesses.values()])
+    samples = zip(*map(take, after))
     return tuple(
-        KernelElement(
-            class_map=maps[s],
-            e=e,
-            j=j,
-            sample=tuple(dfao.out_nonneg[row[s]] for row in after),
-        )
-        for e, j, s in witnesses.values()
+        KernelElement(class_map=maps[s], e=e, j=j, sample=sample)
+        for (e, j, s), sample in zip(witnesses.values(), samples)
     )
 
 

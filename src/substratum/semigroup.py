@@ -7,6 +7,8 @@ value and by the state budget.  It is the reverse machine's map graph, so
 ``closure(sub.columns())``, :func:`structure_semigroup`, the reverse machine
 and the determinized reversal of the direct machine read one run per
 substitution; :mod:`substratum.automata` adds the word-length phase on top.
+The :class:`ColumnMap` of every orbit node is built once per orbit and
+alphabet, :func:`_column_maps`, and those three read it.
 
 An element is a product of exactly k generators when a word of length k
 leads to it.  The sequence of those "products of exactly k" layers is
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import BadAlphabet, StateExplosion
 from .substitution import ColumnMap, Substitution, word_budget
@@ -51,13 +55,34 @@ def _breadth_first(start, children, limit: int):
     return tuple(nodes), tuple(delta)
 
 
+def _gather(indices):
+    """The C-level map from a sequence to its entries at ``indices``, as a tuple.
+
+    ``itemgetter`` of one index returns the bare entry, not a tuple, so one
+    index is wrapped by hand.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 @lru_cache(maxsize=None)
 def _orbit(generators: tuple, limit: int):
     """The identity's orbit under right composition: generator g leads from
     the map f to f ∘ g, both int tuples, and node 0 is the identity.
     Memoized by value and keyed on the state budget ``limit``."""
     identity = tuple(range(len(generators[0])))
-    return _breadth_first(identity, lambda f: [tuple(map(f.__getitem__, g)) for g in generators], limit)
+    gathers = [_gather(g) for g in generators]  # f -> f ∘ g, in C
+    return _breadth_first(identity, lambda f: [take(f) for take in gathers], limit)
+
+
+@lru_cache(maxsize=None)
+def _column_maps(alphabet, generators: tuple, limit: int) -> tuple[ColumnMap, ...]:
+    """The :class:`ColumnMap` of every node of :func:`_orbit`, built once per
+    orbit and alphabet, for the reverse machine, :func:`closure` and
+    :func:`structure_semigroup` to share.  Keyed on the budget too."""
+    return tuple(ColumnMap(alphabet, f) for f in _orbit(generators, limit)[0])
 
 
 @dataclass(frozen=True)
@@ -83,11 +108,14 @@ def closure(generators) -> SemigroupClosure:
     alphabet = given[0].alphabet
     if any(g.alphabet != alphabet for g in given):
         raise BadAlphabet("cannot compose maps over different alphabets")
-    nodes, delta = _orbit(tuple(g.table for g in given), word_budget())
-    tables = sorted({nodes[t] for row in delta for t in row})
+    tables = tuple(g.table for g in given)
+    limit = word_budget()
+    nodes, delta = _orbit(tables, limit)
+    maps = _column_maps(alphabet, tables, limit)
+    products = sorted({t for row in delta for t in row}, key=nodes.__getitem__)
     return SemigroupClosure(
-        elements=tuple(ColumnMap(alphabet, t) for t in tables),
-        min_rank=min(len(set(t)) for t in tables),
+        elements=tuple(map(maps.__getitem__, products)),
+        min_rank=min(map(len, map(set, map(nodes.__getitem__, products)))),
     )
 
 
@@ -100,17 +128,16 @@ class StructureSemigroup:
     stabilizing_exponent: int
 
 
-def _layers(sub: Substitution):
-    """Orbit nodes and the layer sequence P_k = P_{k-1} * columns, as sets of
-    node ids, up to its first repeat; with its threshold and period."""
-    nodes, delta = _orbit(tuple(zip(*sub.rules)), word_budget())
+def _layers(delta):
+    """The layer sequence P_k = P_{k-1} * columns over the orbit's ``delta``,
+    as sets of node ids, up to its first repeat; with its threshold and period."""
     layers = [frozenset(delta[0])]  # layers[k] = products of exactly k+1 columns
     seen_at = {layers[0]: 1}
     while True:
-        nxt = frozenset(t for s in layers[-1] for t in delta[s])
+        nxt = frozenset(chain.from_iterable(map(delta.__getitem__, layers[-1])))
         k = len(layers) + 1
         if nxt in seen_at:
-            return nodes, layers, seen_at[nxt] - 1, k - seen_at[nxt]
+            return layers, seen_at[nxt] - 1, k - seen_at[nxt]
         seen_at[nxt] = k
         layers.append(nxt)
 
@@ -123,7 +150,9 @@ def structure_semigroup(sub: Substitution) -> StructureSemigroup:
     has that same layer, so the monoid at k0 is the intersection itself and
     the search for the least exponent ends there.
     """
-    nodes, layers, threshold, period = _layers(sub)
+    generators, limit = tuple(zip(*sub.rules)), word_budget()
+    nodes, delta = _orbit(generators, limit)
+    layers, threshold, period = _layers(delta)
     identity = 0  # the orbit's start node
 
     def layer(k: int) -> frozenset[int]:
@@ -144,7 +173,8 @@ def structure_semigroup(sub: Substitution) -> StructureSemigroup:
     k0 = period * (threshold // period + 1)
     elements = layer(k0) | {identity}
 
+    maps = _column_maps(sub.alphabet, generators, limit)
     return StructureSemigroup(
-        elements=tuple(ColumnMap(sub.alphabet, t) for t in sorted(nodes[i] for i in elements)),
+        elements=tuple(maps[i] for i in sorted(elements, key=nodes.__getitem__)),
         stabilizing_exponent=next(n for n in range(1, k0 + 1) if monoid_at_exponent(n) == elements),
     )

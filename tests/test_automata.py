@@ -195,6 +195,37 @@ def test_reverse_machine_is_built_once_per_substitution(pd2, bigdiag):
         assert machine is toeplitz.gate(sub).machine
 
 
+def test_reverse_machine_relabels_the_determinized_reversal(fixtures, coprime_seed_periods):
+    # one reversal per direct-machine structure and budget: the semigroup
+    # machine shares the tables of the determinized reversal
+    for sub in fixtures + [coprime_seed_periods]:
+        reverse = build_reverse_semigroup(sub)
+        determinized = reverse_and_determinize(build_direct(sub))
+        assert reverse.delta is determinized.delta, str(sub)
+        assert reverse.out_nonneg is determinized.out_nonneg, str(sub)
+        assert reverse.out_neg is determinized.out_neg, str(sub)
+
+
+def test_shared_reversal_applies_a_changed_budget(monkeypatch, bigdiag):
+    # the memo is kept per budget: a warm reversal does not answer under a
+    # budget its 48 states exceed, nor a warm closure under one its 24 maps exceed
+    monkeypatch.delenv("SUBSTRATUM_BUDGET", raising=False)
+    machine = reverse_and_determinize(build_direct(bigdiag))
+    elements = closure(bigdiag.columns()).elements
+    build_reverse_semigroup(bigdiag)
+    structure_semigroup(bigdiag)
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "30")
+    with pytest.raises(StateExplosion):
+        reverse_and_determinize(build_direct(bigdiag))
+    closure(bigdiag.columns())
+    monkeypatch.setenv("SUBSTRATUM_BUDGET", "3")
+    with pytest.raises(StateExplosion):
+        closure(bigdiag.columns())
+    monkeypatch.delenv("SUBSTRATUM_BUDGET")
+    assert reverse_and_determinize(build_direct(bigdiag)) is machine
+    assert closure(bigdiag.columns()).elements == elements
+
+
 def test_reverse_and_determinize_one_state(constant_sub):
     machine = reverse_and_determinize(build_direct(constant_sub))
     assert machine.num_states == 1
@@ -366,8 +397,10 @@ def test_one_orbit_per_substitution(fixtures):
         reverse_and_determinize(build_direct(sub))
         closure(sub.columns())
         structure_semigroup(sub)
-        # the machines add the word-length phase on top of the one map orbit
+        # the machines add the word-length phase on top of the one map orbit,
+        # and all four read one ColumnMap per orbit node
         assert semigroup._orbit.cache_info().misses == 1, str(sub)
+        assert semigroup._column_maps.cache_info().misses == 1, str(sub)
         periods.add(min(sub.seed_period(), 2))
     assert periods == {1, 2}
 
@@ -460,6 +493,61 @@ def test_equivalent_detects_flipped_negative_output(bigdiag, periodic_right_seed
         assert not result.equal and result.witness < 0
         assert dfao.run(result.witness) != flipped.run(result.witness)
         assert equivalent(dfao, replace(dfao, labels=tuple(reversed(dfao.labels)))).equal
+
+
+def value_carrying_product_walk(m1, m2):
+    """The reference for ``equivalent``'s witness on two reverse machines: a
+    breadth-first product walk in which every pair carries the value and the
+    length of the first word that reaches it, as (equal, witness)."""
+    from collections import deque
+
+    ell = m1.ell
+    for side in ("nonneg", "neg"):
+        s1 = m1.initial_nonneg if side == "nonneg" else m1.initial_neg
+        s2 = m2.initial_nonneg if side == "nonneg" else m2.initial_neg
+        o1 = m1.out_nonneg if side == "nonneg" else m1.out_neg
+        o2 = m2.out_nonneg if side == "nonneg" else m2.out_neg
+        if side == "nonneg" and o1[s1] != o2[s2]:
+            return False, 0
+        seen = {(s1, s2): (0, 0)}
+        compared = set()
+        queue = deque([(s1, s2)])
+        while queue:
+            q1, q2 = queue.popleft()
+            value, length = seen[(q1, q2)]
+            for d in range(ell):
+                child = (m1.delta[q1][d], m2.delta[q2][d])
+                child_value = value + d * ell**length
+                if side == "nonneg":
+                    comparable, witness = d != 0, child_value
+                else:
+                    comparable, witness = d == ell - 1, child_value - ell ** (length + 1)
+                if comparable and child not in compared:
+                    compared.add(child)
+                    if o1[child[0]] != o2[child[1]]:
+                        return False, witness
+                if child not in seen:
+                    seen[child] = (child_value, length + 1)
+                    queue.append(child)
+    return True, None
+
+
+def test_equivalent_witness_matches_the_value_carrying_walk(fixtures, random_inputs):
+    # flip one state's output at a time, on either side; the random inputs
+    # are those of the first twenty whose machines have at most 100 states
+    small = [sub for sub in random_inputs[:20] if build_reverse_semigroup(sub).num_states <= 100]
+    assert len(small) == 17
+    for sub in fixtures + small:
+        reverse = build_reverse_semigroup(sub)
+        determinized = reverse_and_determinize(build_direct(sub))
+        for state in _reachable_order(reverse.delta, reverse.initial_nonneg, reverse.initial_neg):
+            for side in ("out_nonneg", "out_neg"):
+                outputs = list(getattr(reverse, side))
+                outputs[state] = next_letter(sub, outputs[state])
+                flipped = replace(reverse, **{side: tuple(outputs)})
+                result = equivalent(flipped, determinized)
+                expected = value_carrying_product_walk(flipped, determinized)
+                assert (result.equal, result.witness) == expected, str(sub)
 
 
 def test_equivalent_across_readings_is_exact(pd, pd2, bigdiag):
